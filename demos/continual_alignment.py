@@ -7,7 +7,7 @@ supervision SFT, and KL-regularized SFT) and prints held-out
 hallucination rates and drift.
 
 This is a fast, scaled-down cousin of the full seeded experiment
-(`prefalign experiment`, ~1.5 min); it runs in about 30 seconds and
+(`prefalign experiment`, ~2 min); it runs in about a minute and
 the held-out orderings at this size are noisier (the log-prob movement
 contrasts are the stable part).
 

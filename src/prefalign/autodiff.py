@@ -22,7 +22,6 @@ __all__ = [
     "take_along_rows",
     "log_softmax",
     "tsum",
-    "tmean",
     "sigmoid",
     "log_sigmoid",
     "tlog",
@@ -210,12 +209,6 @@ def tsum(t):
         return (np.full_like(v, float(g)),)
 
     return _node(np.sum(v), (t,), bwd)
-
-
-def tmean(t):
-    t = _wrap(t)
-    n = t.values.size
-    return tsum(t) / n
 
 
 def sigmoid(t):

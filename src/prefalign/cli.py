@@ -189,12 +189,10 @@ def _cmd_experiment(args):
         eval_seed=args.eval_seed, pretrain_n=args.pretrain_n,
         pretrain_steps=args.pretrain_steps,
     )
-    base = load_checkpoint(args.base_ckpt) if args.base_ckpt else None
-    if base is None:
-        pre = world.make_preference_dataset(spec.pretrain_n, spec.pretrain_seed)
-        base = training.make_base_model(pre, dim=spec.dim, n_blocks=spec.n_blocks,
-                                        steps=spec.pretrain_steps,
-                                        batch_size=spec.batch_size)
+    if args.base_ckpt:
+        base = load_checkpoint(args.base_ckpt)
+    else:
+        base = training.pretrain_base(spec)
         if args.save_base:
             save_checkpoint(base, args.save_base)
     result = training.run_experiment(spec, base_model=base)

@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 
 from . import world
-from .data import Conversation, Turn
+from .data import Conversation, Turn, read_jsonl, write_jsonl
 from .world import (
     CAT_COLOR,
     CAT_COUNT,
@@ -328,16 +328,8 @@ def conversation_to_llava_record(conversation, record_id, image_ref):
 
 
 def write_llava_jsonl(records, path):
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    write_jsonl(records, path)
 
 
 def read_llava_jsonl(path):
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+    return read_jsonl(path)

@@ -1,7 +1,11 @@
-"""Shared data types: contexts, preference samples, conversations, logs."""
+"""Shared data types (contexts, preference samples, conversations, logs)
+and the one artifact format: compact sorted JSON, JSONL with blank lines
+skipped, and CSV with floats as repr and None as an empty cell."""
 
 from __future__ import annotations
 
+import csv
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,7 +17,38 @@ __all__ = [
     "Conversation",
     "StepRecord",
     "TrajectoryLog",
+    "write_json",
+    "write_jsonl",
+    "read_jsonl",
+    "write_csv",
 ]
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def write_json(obj, path):
+    with open(path, "w") as fh:
+        fh.write(_dumps(obj))
+
+
+def write_jsonl(objs, path):
+    with open(path, "w") as fh:
+        fh.writelines(_dumps(obj) + "\n" for obj in objs)
+
+
+def read_jsonl(path):
+    with open(path) as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def write_csv(header, rows, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(["" if v is None else v if isinstance(v, str) else repr(v) for v in row]
+                         for row in rows)
 
 
 @dataclass

@@ -23,13 +23,14 @@ __all__ = [
     "sft_loss",
     "dpo_logit",
     "dpo_logit_noref",
+    "dpo_margin",
+    "dpo_margin_loss",
     "dpo_loss",
     "bt_probability",
     "implicit_reward",
     "conversation_sft_loss",
     "nsft_loss",
     "per_token_kl",
-    "log_sigmoid",
 ]
 
 
@@ -63,10 +64,25 @@ def sft_loss(params, context: InputContext, y, mask=None):
     return -ad.tsum(ad.mul(lp, m))
 
 
+def _frozen(reference):
+    """The reference detached: itself if grad-free, else a grad-free clone."""
+    if any(t.requires_grad for t in reference.tensors()):
+        return reference.clone(requires_grad=False)
+    return reference
+
+
 def _reference_logprob(reference, context, y):
-    # frozen model: detach by evaluating on grad-free clones of its tensors
-    ref = reference if not any(t.requires_grad for t in reference.tensors()) else reference.clone(requires_grad=False)
-    return sequence_logprob(ref, context, y).item()
+    return sequence_logprob(_frozen(reference), context, y).item()
+
+
+def dpo_margin(lp_c, lp_r, ref_c, ref_r):
+    """(lp_c - ref_c) - (lp_r - ref_r): the reference-adjusted log-ratio margin."""
+    return (lp_c - ref_c) - (lp_r - ref_r)
+
+
+def dpo_margin_loss(p, beta):
+    """-log sigma(beta * p)."""
+    return -ad.log_sigmoid(beta * p)
 
 
 def dpo_logit(policy, cfg: DpoConfig, sample: PreferenceSample):
@@ -75,7 +91,7 @@ def dpo_logit(policy, cfg: DpoConfig, sample: PreferenceSample):
     ref_r = _reference_logprob(cfg.reference, sample.context, sample.rejected)
     lp_c = sequence_logprob(policy, sample.context, sample.chosen)
     lp_r = sequence_logprob(policy, sample.context, sample.rejected)
-    return (lp_c - ref_c) - (lp_r - ref_r)
+    return dpo_margin(lp_c, lp_r, ref_c, ref_r)
 
 
 def dpo_logit_noref(policy, sample: PreferenceSample):
@@ -85,18 +101,9 @@ def dpo_logit_noref(policy, sample: PreferenceSample):
     return lp_c - lp_r
 
 
-def log_sigmoid(t):
-    """log sigma(t), stable for large |t|."""
-    if isinstance(t, Tensor):
-        return ad.log_sigmoid(t)
-    t = float(t)
-    return -np.log1p(np.exp(-abs(t))) + min(t, 0.0)
-
-
 def dpo_loss(policy, cfg: DpoConfig, sample: PreferenceSample):
     """-log sigma(beta * p_dpo)."""
-    p = dpo_logit(policy, cfg, sample)
-    return -log_sigmoid(cfg.beta * p)
+    return dpo_margin_loss(dpo_logit(policy, cfg, sample), cfg.beta)
 
 
 def bt_probability(reward_c, reward_r):
@@ -137,7 +144,7 @@ def per_token_kl(policy, reference, context: InputContext, y):
     """Mean over positions of KL(pi_policy(.|prefix) || pi_ref(.|prefix))."""
     x_p = encode_context(policy, context.image_latent, context.question)
     lp_p = token_logprob_matrix(policy, x_p, y)
-    ref = reference if not any(t.requires_grad for t in reference.tensors()) else reference.clone(requires_grad=False)
+    ref = _frozen(reference)
     x_r = encode_context(ref, context.image_latent, context.question)
     lp_r = token_logprob_matrix(ref, x_r, y).values
     diff = lp_p - Tensor(lp_r)

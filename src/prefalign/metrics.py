@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
+
+from .data import read_jsonl, write_csv
 
 __all__ = [
     "CaptionEval",
@@ -103,47 +103,19 @@ def aggregate_scores(sheet: ScoreSheet):
 
 
 def read_caption_evals_jsonl(path):
-    evals = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            evals.append(CaptionEval(mentioned=d["mentioned"], ground_truth=d["ground_truth"]))
-    return evals
+    return [CaptionEval(mentioned=d["mentioned"], ground_truth=d["ground_truth"])
+            for d in read_jsonl(path)]
 
 
 def read_score_sheet_jsonl(path):
-    items = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            items.append((float(d["if_score"]), float(d["accuracy"])))
-    return ScoreSheet(items)
+    return ScoreSheet([(float(d["if_score"]), float(d["accuracy"])) for d in read_jsonl(path)])
 
 
 def write_chair_csv(result: ChairResult, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chair_i", "chair_s", "chair_avg"])
-        writer.writerow([
-            "" if result.chair_i is None else repr(result.chair_i),
-            repr(result.chair_s),
-            "" if result.chair_avg is None else repr(result.chair_avg),
-        ])
+    write_csv(["chair_i", "chair_s", "chair_avg"],
+              [[result.chair_i, result.chair_s, result.chair_avg]], path)
 
 
 def write_aggregate_csv(agg, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mean_if", "mean_acc", "acc_b10", "acc_w10"])
-        writer.writerow([
-            repr(agg["mean_if"]),
-            repr(agg["mean_acc"]),
-            "" if agg["acc_b10"] is None else repr(agg["acc_b10"]),
-            "" if agg["acc_w10"] is None else repr(agg["acc_w10"]),
-        ])
+    cols = ["mean_if", "mean_acc", "acc_b10", "acc_w10"]
+    write_csv(cols, [[agg[c] for c in cols]], path)

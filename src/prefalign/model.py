@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import write_json
 
 __all__ = [
     "ModelParams",
@@ -173,11 +174,12 @@ def save_checkpoint(params, path):
             for name, t in params.named_tensors()
         },
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+    write_json(doc, path)
 
 
 def load_checkpoint(path, requires_grad=True):
+    """Read a checkpoint; ValueError on a gap in the block indices, on
+    shapes that disagree with each other, or on a non-finite value."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("version") != CHECKPOINT_VERSION:
@@ -186,16 +188,30 @@ def load_checkpoint(path, requires_grad=True):
 
     def t(name):
         a = arrays[name]
-        return Tensor(np.array(a["values"], dtype=np.float64).reshape(a["shape"]),
-                      requires_grad=requires_grad)
+        values = np.array(a["values"], dtype=np.float64).reshape(a["shape"])
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"checkpoint tensor {name} has non-finite values")
+        return Tensor(values, requires_grad=requires_grad)
 
     block_ids = sorted({int(k.split(".")[1]) for k in arrays if k.startswith("blocks.")})
-    return ModelParams(
+    if block_ids != list(range(len(block_ids))):
+        raise ValueError(f"checkpoint block indices {block_ids} are not 0..n-1")
+    params = ModelParams(
         embed=t("embed"),
         img_proj=t("img_proj"),
         blocks=[(t(f"blocks.{i}.w1"), t(f"blocks.{i}.w2")) for i in block_ids],
         out=t("out"),
     )
+    if any(t.values.ndim != 2 for t in params.tensors()):
+        raise ValueError("checkpoint tensors must be 2-D")
+    v, d, k = params.vocab_size, params.dim, params.latent_dim
+    expected = {"embed": (v, d), "img_proj": (k, d), "out": (d, v)}
+    for name, tensor in params.named_tensors():
+        shape = expected.get(name, (d, d))
+        if tensor.values.shape != shape:
+            raise ValueError(f"checkpoint tensor {name} has shape {tensor.values.shape}, "
+                             f"expected {shape}")
+    return params
 
 
 def params_hash(params):

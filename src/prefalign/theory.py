@@ -8,10 +8,10 @@ magnitude ratio collapses to t2/t1 for every beta.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
+
+from .data import write_csv, write_json
 
 __all__ = [
     "RatioPoint",
@@ -86,13 +86,9 @@ def bias_trajectory_report(log, warmup_frac=0.1):
 
 
 def write_trajectory_csv(report, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "t1", "t2", "ratio"])
-        for row in report["per_step"]:
-            writer.writerow([row["step"], repr(row["t1"]), repr(row["t2"]), repr(row["ratio"])])
+    cols = ["step", "t1", "t2", "ratio"]
+    write_csv(cols, ([row[c] for c in cols] for row in report["per_step"]), path)
 
 
 def write_trajectory_summary(report, path):
-    with open(path, "w") as fh:
-        json.dump(report["summary"], fh, sort_keys=True, separators=(",", ":"))
+    write_json(report["summary"], path)

@@ -7,8 +7,6 @@ per-step quantities the theory probes consume.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -23,10 +21,12 @@ from .constructor import (
     load_default_codebook,
     qa_turns_from_clauses,
 )
-from .data import Conversation, StepRecord, TrajectoryLog, Turn
+from .data import Conversation, StepRecord, TrajectoryLog, Turn, write_csv, write_json
 from .losses import (
     conversation_sft_loss,
-    log_sigmoid,
+    dpo_margin,
+    dpo_margin_loss,
+    nsft_loss,
     per_token_kl,
     sequence_logprob,
 )
@@ -49,12 +49,12 @@ from .world import (
 __all__ = [
     "METHODS",
     "TrainConfig",
-    "PAPER_SCALE_PRESET",
     "TrainingDivergedError",
     "cosine_lr",
     "build_training_views",
     "train",
     "make_base_model",
+    "pretrain_base",
     "self_response_records",
     "mean_sequence_logprobs",
     "evaluate_model",
@@ -70,9 +70,6 @@ __all__ = [
 
 METHODS = ("cont_sft", "gt_dpo", "nsft", "sft_kl", "nsft_kl")
 
-# the published large-model recipe, kept only as a labeled preset
-PAPER_SCALE_PRESET = {"batch_size": 128, "lr": 2e-6, "weight_decay": 0.0}
-
 _OBJECT_TOKEN_RANGE = range(OBJECT_TOKEN_BASE, OBJECT_TOKEN_BASE + len(OBJECTS))
 
 
@@ -87,12 +84,10 @@ class TrainConfig:
     method: str = "cont_sft"
     batch_size: int = 16
     lr: float = 1e-2
-    weight_decay: float = 0.0
     beta: float = 0.1
     kl_weight: float = 0.1
     steps: int = 500
     seed: int = 0
-    lr_schedule: str = "cosine"  # "cosine" | "constant"
     dim: int = 16
     n_blocks: int = 2
     construct_k: int = 5
@@ -103,6 +98,10 @@ class TrainConfig:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.steps < 0 or self.batch_size < 1 or self.lr < 0:
             raise ValueError("need steps >= 0, batch_size >= 1, lr >= 0")
+        lo, hi = self.yes_no_band
+        if self.beta <= 0 or self.kl_weight < 0 or self.construct_k < 1 or not 0 <= lo <= hi <= 1:
+            raise ValueError("need beta > 0, kl_weight >= 0, construct_k >= 1 and "
+                             "a yes_no_band (lo, hi) with 0 <= lo <= hi <= 1")
 
 
 def cosine_lr(step, total, base_lr):
@@ -158,8 +157,8 @@ def _sample_loss(params, reference, view: _SampleView, config: TrainConfig):
     stats = {"lp_c": lp_c.item(), "lp_r": lp_r.item(), "t1": None, "t2": None, "p_dpo": None}
 
     if method == "gt_dpo":
-        p = (lp_c - view.ref_logprob_chosen) - (lp_r - view.ref_logprob_rejected)
-        loss = -log_sigmoid(config.beta * p)
+        p = dpo_margin(lp_c, lp_r, view.ref_logprob_chosen, view.ref_logprob_rejected)
+        loss = dpo_margin_loss(p, config.beta)
         stats["p_dpo"] = p.item()
         stats["t1"] = math.exp(lp_c.item() - view.ref_logprob_chosen)
         stats["t2"] = math.exp(lp_r.item() - view.ref_logprob_rejected)
@@ -168,12 +167,27 @@ def _sample_loss(params, reference, view: _SampleView, config: TrainConfig):
     if method in ("cont_sft", "sft_kl"):
         loss = conversation_sft_loss(params, view.gt_conversation)
     else:  # nsft, nsft_kl
-        loss = ad.add(conversation_sft_loss(params, view.gt_conversation),
-                      conversation_sft_loss(params, view.constructed))
+        loss = nsft_loss(params, view.gt_conversation, view.constructed)
     if method in ("sft_kl", "nsft_kl"):
         kl = per_token_kl(params, reference, sample.context, sample.chosen)
         loss = ad.add(loss, config.kl_weight * kl)
     return loss, stats
+
+
+def _sgd_step(tensors, losses, lr, step):
+    """One SGD update on the batch-mean loss, summed left to right (the
+    float order the frozen experiment reference pins); returns the loss."""
+    total = losses[0]
+    for l in losses[1:]:
+        total = ad.add(total, l)
+    total = total / len(losses)
+    loss_value = total.item()
+    if not math.isfinite(loss_value):
+        raise TrainingDivergedError(step)
+    grads = backward(total, tensors)
+    for t in tensors:
+        t.values -= lr * grads[t]
+    return loss_value
 
 
 def _mean_kl(params, reference, views, indices):
@@ -203,26 +217,14 @@ def train(config: TrainConfig, records, init_model=None):
     log = TrajectoryLog()
 
     for step in range(config.steps):
-        lr = cosine_lr(step, config.steps, config.lr) if config.lr_schedule == "cosine" else config.lr
+        lr = cosine_lr(step, config.steps, config.lr)
         idx = rng.integers(0, len(views), size=config.batch_size)
         losses, stats = [], []
         for i in idx:
             loss_i, stats_i = _sample_loss(params, reference, views[int(i)], config)
             losses.append(loss_i)
             stats.append(stats_i)
-        total = losses[0]
-        for l in losses[1:]:
-            total = ad.add(total, l)
-        total = total / len(losses)
-        loss_value = total.item()
-        if not math.isfinite(loss_value):
-            raise TrainingDivergedError(step)
-        grads = backward(total, tensors)
-        for t in tensors:
-            g = grads[t]
-            if config.weight_decay:
-                g = g + config.weight_decay * t.values
-            t.values -= lr * g
+        loss_value = _sgd_step(tensors, losses, lr, step)
 
         def _mean(key):
             vals = [s[key] for s in stats if s[key] is not None]
@@ -244,50 +246,54 @@ def train(config: TrainConfig, records, init_model=None):
     return params, log
 
 
-def make_base_model(records, dim=64, n_blocks=2, lr=0.05, steps=8000,
-                    noisy_frac=0.5, qa_frac=0.4, seed=1234, batch_size=16):
+_PRETRAIN_LR = 0.05
+_NOISY_FRAC = 0.5      # share of items drawn from the noisy belief
+_QA_FRAC = 0.4         # share of items that are QA conversations
+_PRETRAIN_SEED = 1234  # seeds the init and the item draws
+
+
+def make_base_model(records, dim=64, n_blocks=2, steps=8000, batch_size=16):
     """Pretrained starting point with knowledge-level hallucination habits.
 
     Each record carries two belief states: the true scene and a noisy
     one (the parse of its corrupted caption). With probability
-    `noisy_frac` a training item is generated from the noisy belief,
+    `_NOISY_FRAC` a training item is generated from the noisy belief,
     and that choice drives captions and QA answers alike, so the base
     model's mistakes are consistent wrong beliefs rather than surface
-    noise. `qa_frac` of items are short multi-turn QA conversations,
+    noise. `_QA_FRAC` of items are short multi-turn QA conversations,
     which keeps corrective QA turns in-distribution later.
     """
-    params = init_params(VOCAB_SIZE, dim, latent_dim(), n_blocks=n_blocks, seed=seed)
-    rng = np.random.default_rng(seed)
+    params = init_params(VOCAB_SIZE, dim, latent_dim(), n_blocks=n_blocks, seed=_PRETRAIN_SEED)
+    rng = np.random.default_rng(_PRETRAIN_SEED)
     tensors = params.tensors()
     noisy_clauses = [parse_caption(rec.rejected) for rec in records]
     clean_clauses = [list(rec.scene.objects) for rec in records]
     for step in range(steps):
-        step_lr = cosine_lr(step, steps, lr)
+        step_lr = cosine_lr(step, steps, _PRETRAIN_LR)
         idx = rng.integers(0, len(records), size=batch_size)
         losses = []
         for i in idx:
             i = int(i)
             rec = records[i]
             lat = featurize(rec.scene)
-            noisy = rng.random() < noisy_frac
+            noisy = rng.random() < _NOISY_FRAC
             clauses = noisy_clauses[i] if noisy else clean_clauses[i]
-            if rng.random() < qa_frac:
+            if rng.random() < _QA_FRAC:
                 turns = qa_turns_from_clauses(clauses, rng, int(rng.integers(2, 5)))
                 conv = Conversation(lat, turns)
             else:
                 y = rec.rejected if noisy else rec.chosen
                 conv = Conversation(lat, [Turn(list(CAPTION_QUESTION), list(y))])
             losses.append(conversation_sft_loss(params, conv))
-        total = losses[0]
-        for l in losses[1:]:
-            total = ad.add(total, l)
-        total = total / len(losses)
-        if not math.isfinite(total.item()):
-            raise TrainingDivergedError(step)
-        grads = backward(total, tensors)
-        for t in tensors:
-            t.values -= step_lr * grads[t]
+        _sgd_step(tensors, losses, step_lr, step)
     return params
+
+
+def pretrain_base(spec):
+    """The experiment's base model: `make_base_model` on the spec's pretraining set."""
+    records = make_preference_dataset(spec.pretrain_n, spec.pretrain_seed)
+    return make_base_model(records, dim=spec.dim, n_blocks=spec.n_blocks,
+                           steps=spec.pretrain_steps, batch_size=spec.batch_size)
 
 
 def self_response_records(params, records, max_decode_len=16):
@@ -322,24 +328,23 @@ def evaluate_model(params, eval_records, initial_model=None, max_decode_len=16):
     """Held-out metrics: decoded-caption chair_i, mean chosen/rejected
     sequence log-probs, and per-token KL drift from the initial model."""
     evals = []
-    lp_c_total, lp_r_total, kl_total = 0.0, 0.0, 0.0
+    kl_total = 0.0
     for rec in eval_records:
         sample = rec.to_sample()
         x = encode_context(params, sample.context.image_latent, sample.context.question)
         decoded = greedy_decode(params, x, max_decode_len)
         mentioned = {t - OBJECT_TOKEN_BASE for t in decoded if t in _OBJECT_TOKEN_RANGE}
         evals.append(CaptionEval([mentioned], rec.scene.object_ids()))
-        lp_c_total += sequence_logprob(params, sample.context, sample.chosen).item()
-        lp_r_total += sequence_logprob(params, sample.context, sample.rejected).item()
         if initial_model is not None:
             kl_total += per_token_kl(params, initial_model, sample.context, rec.chosen).item()
     n = len(eval_records)
     result = chair(evals)
+    mean_c, mean_r = mean_sequence_logprobs(params, eval_records)
     return {
         "chair_i": result.chair_i if result.chair_i is not None else 0.0,
         "chair_s": result.chair_s,
-        "mean_chosen_logprob": lp_c_total / n,
-        "mean_rejected_logprob": lp_r_total / n,
+        "mean_chosen_logprob": mean_c,
+        "mean_rejected_logprob": mean_r,
         "kl_drift": (kl_total / n) if initial_model is not None else 0.0,
     }
 
@@ -411,9 +416,7 @@ def run_experiment(spec: ExperimentSpec, base_model=None, configs=None):
     metrics plus chosen/rejected log-prob movement on the training set.
     """
     if base_model is None:
-        pretrain_records = make_preference_dataset(spec.pretrain_n, spec.pretrain_seed)
-        base_model = make_base_model(pretrain_records, dim=spec.dim, n_blocks=spec.n_blocks,
-                                     steps=spec.pretrain_steps, batch_size=spec.batch_size)
+        base_model = pretrain_base(spec)
     pool = set(range(spec.object_pool_size))
     injected = make_preference_dataset(spec.train_n, spec.seed, object_pool=pool)
     records = self_response_records(base_model, injected, max_decode_len=spec.max_decode_len)
@@ -452,9 +455,7 @@ def run_experiment(spec: ExperimentSpec, base_model=None, configs=None):
 
 def write_experiment_json(result, path):
     """Serialize an experiment report (without the step logs)."""
-    payload = {k: v for k, v in result.items() if k != "logs"}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+    write_json({k: v for k, v in result.items() if k != "logs"}, path)
 
 
 def compare_methods(configs, records, eval_records, init_model):
@@ -487,23 +488,16 @@ _REPORT_COLUMNS = ["method", "chair_i", "delta_chosen_logprob", "delta_rejected_
 
 
 def write_comparison_csv(report, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_REPORT_COLUMNS)
-        for row in report["rows"]:
-            writer.writerow([row["method"]] + [repr(row[c]) for c in _REPORT_COLUMNS[1:]])
+    write_csv(_REPORT_COLUMNS, ([row[c] for c in _REPORT_COLUMNS] for row in report["rows"]), path)
 
 
 def write_comparison_json(report, path):
-    with open(path, "w") as fh:
-        json.dump({"rows": report["rows"]}, fh, sort_keys=True, separators=(",", ":"))
+    write_json({"rows": report["rows"]}, path)
+
+
+_TRAJECTORY_COLUMNS = ["step", "loss", "lr", "mean_chosen_logprob", "mean_rejected_logprob",
+                       "t1", "t2", "p_dpo", "kl_to_reference"]
 
 
 def write_trajectory_log_csv(log: TrajectoryLog, path):
-    cols = ["step", "loss", "lr", "mean_chosen_logprob", "mean_rejected_logprob",
-            "t1", "t2", "p_dpo", "kl_to_reference"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for r in log:
-            writer.writerow(["" if getattr(r, c) is None else repr(getattr(r, c)) for c in cols])
+    write_csv(_TRAJECTORY_COLUMNS, ([getattr(r, c) for c in _TRAJECTORY_COLUMNS] for r in log), path)

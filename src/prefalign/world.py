@@ -8,12 +8,11 @@ captions. All generation is a pure function of integer seeds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import InputContext, PreferenceSample
+from .data import InputContext, PreferenceSample, read_jsonl, write_jsonl
 
 __all__ = [
     "OBJECTS",
@@ -428,16 +427,8 @@ def make_preference_dataset(n, seed, object_pool=None):
 
 
 def write_dataset_jsonl(records, path):
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True, separators=(",", ":")) + "\n")
+    write_jsonl((rec.to_dict() for rec in records), path)
 
 
 def read_dataset_jsonl(path):
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(PreferenceRecord.from_dict(json.loads(line)))
-    return records
+    return [PreferenceRecord.from_dict(d) for d in read_jsonl(path)]

@@ -89,6 +89,17 @@ def test_train_smoke_and_reproducible(tmp_path):
     assert artifacts[0] == artifacts[1]
 
 
+def test_train_config_unknown_key_exits_1(tmp_path):
+    data = _gen_world(tmp_path, "data.jsonl")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lr_schedule": "cosin"}))
+    code, _, err = _run(["train", "--config", str(cfg), "--data", str(data),
+                         "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    payload = json.loads(err.strip())
+    assert payload["error"] == "TypeError" and "lr_schedule" in payload["message"]
+
+
 def test_compare_smoke_and_reproducible(tmp_path):
     data = _gen_world(tmp_path, "data.jsonl")
     blobs = []

@@ -101,7 +101,7 @@ def test_score_sheet_validates_range():
 
 def test_jsonl_and_csv_io(tmp_path):
     evals_path = tmp_path / "evals.jsonl"
-    evals_path.write_text('{"mentioned": [[1, 2, 3]], "ground_truth": [1, 2]}\n')
+    evals_path.write_text('\n{"mentioned": [[1, 2, 3]], "ground_truth": [1, 2]}\n\n')
     result = chair(read_caption_evals_jsonl(evals_path))
     out = tmp_path / "chair.csv"
     write_chair_csv(result, out)
@@ -109,6 +109,13 @@ def test_jsonl_and_csv_io(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["chair_i", "chair_s", "chair_avg"]
     assert float(rows[1][0]) == pytest.approx(1.0 / 3.0)
+
+    empty_path = tmp_path / "empty.jsonl"
+    empty_path.write_text('{"mentioned": [[]], "ground_truth": [1, 2]}\n')
+    write_chair_csv(chair(read_caption_evals_jsonl(empty_path)), out)
+    with open(out) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1] == ["", "0.0", ""]
 
     scores_path = tmp_path / "scores.jsonl"
     scores_path.write_text("".join(

@@ -1,6 +1,8 @@
 """Toy conditional AR model: context encoding, factorization, decoding,
 checkpointing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,34 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path.write_text('{"version": 99, "arrays": {}}')
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def _corrupted_checkpoint(tmp_path, corrupt):
+    path = tmp_path / "model.json"
+    save_checkpoint(_params(seed=22), path)
+    doc = json.loads(path.read_text())
+    corrupt(doc["arrays"])
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _drop_block_0(arrays):
+    del arrays["blocks.0.w1"], arrays["blocks.0.w2"]
+
+
+def _shrink_out(arrays):
+    arrays["out"] = {"shape": [D, V - 1], "values": [0.0] * (D * (V - 1))}
+
+
+def _nan_in_embed(arrays):
+    arrays["embed"]["values"][3] = float("nan")
+
+
+@pytest.mark.parametrize("corrupt", [_drop_block_0, _shrink_out, _nan_in_embed],
+                         ids=["block_index_gap", "shape_mismatch", "non_finite"])
+def test_checkpoint_rejects_inconsistent_contents(tmp_path, corrupt):
+    with pytest.raises(ValueError):
+        load_checkpoint(_corrupted_checkpoint(tmp_path, corrupt))
 
 
 def test_init_params_enforces_desk_scale_floor():

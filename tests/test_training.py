@@ -10,7 +10,6 @@ from prefalign import world
 from prefalign.model import init_params, params_hash
 from prefalign.training import (
     METHODS,
-    PAPER_SCALE_PRESET,
     ExperimentSpec,
     TrainConfig,
     TrainingDivergedError,
@@ -54,8 +53,38 @@ def test_train_config_validation():
         TrainConfig(method="ppo")
     with pytest.raises(ValueError):
         TrainConfig(steps=-1)
+    for bad in (dict(beta=0.0), dict(beta=-1.0), dict(kl_weight=-5.0), dict(construct_k=0),
+                dict(yes_no_band=(-0.1, 0.5)), dict(yes_no_band=(0.6, 0.4)),
+                dict(yes_no_band=(0.4, 1.5))):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
     assert set(METHODS) == {"cont_sft", "gt_dpo", "nsft", "sft_kl", "nsft_kl"}
-    assert PAPER_SCALE_PRESET == {"batch_size": 128, "lr": 2e-6, "weight_decay": 0.0}
+
+
+# Recorded from the per-sample training loop before it shared one SGD step
+# with pretraining; every float operation and its order must be unchanged.
+GOLDEN_STEP_LOSSES = {
+    "cont_sft": [30.156129866205035, 45.21755982477429, 41.01416963320774],
+    "gt_dpo": [0.6931471805599453, 0.6931101571956216, 0.6930766579010613],
+    "nsft": [68.88893327229418, 82.73919506436697, 77.72035573707319],
+    "sft_kl": [30.156129866205035, 45.21757212282934, 41.01423357029948],
+    "nsft_kl": [68.88893327229418, 82.73928416134544, 77.7207559298686],
+}
+GOLDEN_BASE_SUM_SQUARES = [7.510876838810438, 15.879835531085746, 2.6779917887068088,
+                           2.4402335646861846, 2.6528737903532846, 2.4156544349014886,
+                           6.950370301476186]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_train_step_losses_match_golden(method):
+    _, log = train(_config(method=method), RECORDS)
+    assert [r.loss for r in log] == pytest.approx(GOLDEN_STEP_LOSSES[method], rel=1e-12)
+
+
+def test_make_base_model_matches_golden():
+    base = make_base_model(RECORDS, dim=16, steps=3)
+    sums = [float(np.sum(t.values ** 2)) for t in base.tensors()]
+    assert sums == pytest.approx(GOLDEN_BASE_SUM_SQUARES, rel=1e-12)
 
 
 def test_zero_steps_leaves_params_and_log_empty():
