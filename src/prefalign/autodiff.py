@@ -1,9 +1,10 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 The op set is deliberately small: matmul, add, multiply, row gather,
-log-softmax, reductions, sigmoid, log, exp, concat. That closed set is
-enough to express every loss in this package while keeping each op's
-adjoint a few lines of numpy.
+log-softmax, reductions, sigmoid, log, exp, concat and a segment mean.
+That closed set is enough to express every loss in this package while
+keeping each op's adjoint a few lines of numpy. An op computes no
+adjoint for a constant parent.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "tlog",
     "texp",
     "concat_rows",
+    "segment_mean",
 ]
 
 
@@ -115,11 +117,17 @@ def add(a, b):
     av, bv = a.values, b.values
 
     def bwd(g):
-        ga = g if av.shape == g.shape else np.sum(g) * np.ones_like(av) if av.ndim == 0 else _unbroadcast(g, av.shape)
-        gb = g if bv.shape == g.shape else np.sum(g) * np.ones_like(bv) if bv.ndim == 0 else _unbroadcast(g, bv.shape)
-        return ga, gb
+        return (_sum_to(g, av.shape) if a.requires_grad else None,
+                _sum_to(g, bv.shape) if b.requires_grad else None)
 
     return _node(av + bv, (a, b), bwd)
+
+
+def _sum_to(g, shape):
+    """The adjoint of broadcasting to g's shape from `shape`."""
+    if g.shape == shape:
+        return g
+    return np.sum(g) * np.ones(shape) if not shape else _unbroadcast(g, shape)
 
 
 def _unbroadcast(g, shape):
@@ -137,7 +145,8 @@ def mul(a, b):
     av, bv = a.values, b.values
 
     def bwd(g):
-        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
+        return (_unbroadcast(g * bv, av.shape) if a.requires_grad else None,
+                _unbroadcast(g * av, bv.shape) if b.requires_grad else None)
 
     return _node(av * bv, (a, b), bwd)
 
@@ -147,12 +156,8 @@ def matmul(a, b):
     av, bv = a.values, b.values
 
     def bwd(g):
-        if av.ndim == 1:
-            ga = g @ bv.T
-            gb = np.outer(av, g)
-        else:
-            ga = g @ bv.T
-            gb = av.T @ g
+        ga = (np.outer(g, bv) if bv.ndim == 1 else g @ bv.T) if a.requires_grad else None
+        gb = (np.outer(av, g) if av.ndim == 1 else av.T @ g) if b.requires_grad else None
         return ga, gb
 
     return _node(av @ bv, (a, b), bwd)
@@ -165,9 +170,10 @@ def gather_rows(mat, indices):
     mv = mat.values
 
     def bwd(g):
-        gm = np.zeros_like(mv)
-        np.add.at(gm, idx, g)
-        return (gm,)
+        # scatter-add as a one-hot matmul: several times faster than np.add.at
+        onehot = np.zeros((mv.shape[0], idx.size))
+        onehot[idx, np.arange(idx.size)] = 1.0
+        return (onehot @ g,)
 
     return _node(mv[idx], (mat,), bwd)
 
@@ -211,10 +217,15 @@ def tsum(t):
     return _node(np.sum(v), (t,), bwd)
 
 
+def _sigmoid_parts(v):
+    """(sigma(v), exp(-|v|)) from one exp, stable at both tails."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e), e
+
+
 def sigmoid(t):
     t = _wrap(t)
-    v = t.values
-    out = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))), np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    out, _ = _sigmoid_parts(t.values)
 
     def bwd(g):
         return (g * out * (1.0 - out),)
@@ -225,9 +236,8 @@ def sigmoid(t):
 def log_sigmoid(t):
     t = _wrap(t)
     v = t.values
-    out = np.minimum(v, 0.0) - np.log1p(np.exp(-np.abs(v)))
-    sig = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                   np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    sig, e = _sigmoid_parts(v)
+    out = np.minimum(v, 0.0) - np.log1p(e)
 
     def bwd(g):
         return (g * (1.0 - sig),)
@@ -262,9 +272,39 @@ def concat_rows(tensors):
     offsets = np.cumsum([0] + sizes)
 
     def bwd(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(tensors)))
+        return tuple(g[offsets[i]:offsets[i + 1]] if t.requires_grad else None
+                     for i, t in enumerate(tensors))
 
     return _node(np.concatenate([t.values for t in tensors], axis=0), tensors, bwd)
+
+
+def segment_mean(t, lo, hi):
+    """out[r] = mean(t[lo[r]:hi[r]]) over the rows of a 2-d t.
+
+    Every output row is a difference of one running row sum, so the cost
+    is linear in rows however long the segments are. The caller keeps
+    lo[r] < hi[r], hi strictly increasing and lo non-decreasing (each run
+    of equal lo is one packed sequence); `model.pack` builds them so.
+    """
+    t = _wrap(t)
+    v = t.values
+    lo = np.asarray(lo, dtype=np.intp)
+    hi = np.asarray(hi, dtype=np.intp)
+    csum = np.zeros((v.shape[0] + 1,) + v.shape[1:])
+    np.cumsum(v, axis=0, out=csum[1:])
+    count = (hi - lo).astype(np.float64)[:, None]
+
+    def bwd(g):
+        # adjoint of csum: +g/n at each hi, minus each run's total at its lo;
+        # csum[k] sums rows j < k, so row j collects every csum adjoint past it
+        gn = g / count
+        gc = np.zeros_like(csum)
+        gc[hi] = gn
+        runs = np.flatnonzero(np.diff(lo, prepend=-1))
+        gc[lo[runs]] -= np.add.reduceat(gn, runs, axis=0)
+        return (np.cumsum(gc[:0:-1], axis=0)[::-1],)
+
+    return _node((csum[hi] - csum[lo]) / count, (t,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +339,13 @@ def backward(loss, params):
     if loss.values.size != 1:
         raise ValueError("backward requires a scalar loss")
     grads = {id(loss): np.ones_like(loss.values)}
+    keep = {id(p) for p in params}
     for node in reversed(_toposort(loss)):
-        g = grads.get(id(node))
-        if g is None or node._backward_fn is None:
+        if node._backward_fn is None:
+            continue
+        # an inner node's adjoint is complete here; drop it once passed on
+        g = grads.get(id(node)) if id(node) in keep else grads.pop(id(node), None)
+        if g is None:
             continue
         for parent, pg in zip(node._parents, node._backward_fn(g)):
             if pg is None or not parent.requires_grad:

@@ -2,7 +2,10 @@
 
 Sequence log-probabilities are plain sums over positions; nothing is
 length-normalized, so the reference-free DPO logit is exactly the
-negated difference of the two SFT losses.
+negated difference of the two SFT losses. The batch forms pack many
+sequences into one forward pass (`model.pack`); the single-sample forms
+are batches of one. A reference model enters through `frozen()`, so it
+contributes constants only.
 """
 
 from __future__ import annotations
@@ -15,12 +18,17 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Conversation, InputContext, PreferenceSample
-from .model import ModelParams, encode_context, token_logprob_matrix, token_logprobs
+from .model import ModelParams, batch_logprob_matrix, pack
 
 __all__ = [
     "DpoConfig",
+    "sequence_logprobs",
+    "pair_logprobs",
     "sequence_logprob",
+    "masked_nll",
     "sft_loss",
+    "pack_conversations",
+    "conversations_sft_loss",
     "dpo_logit",
     "dpo_logit_noref",
     "dpo_margin",
@@ -29,7 +37,10 @@ __all__ = [
     "bt_probability",
     "implicit_reward",
     "conversation_sft_loss",
+    "nsft_conversations",
     "nsft_loss",
+    "sample_kls",
+    "per_token_kls",
     "per_token_kl",
 ]
 
@@ -44,10 +55,39 @@ class DpoConfig:
             raise ValueError("beta must be positive")
 
 
+def _pack_contexts(params, contexts, ys):
+    return pack(params, [c.image_latent for c in contexts], [c.question for c in contexts], ys)
+
+
+def _position_logprobs(params, batch):
+    """log pi(y_i | y_<i, x) at every packed position, an (N,) tensor."""
+    return ad.take_along_rows(batch_logprob_matrix(params, batch), batch.targets)
+
+
+def sequence_logprobs(params, contexts, ys):
+    """log pi(y_b | x_b) for every sample: a (B,) tensor from one packed forward."""
+    batch = _pack_contexts(params, contexts, ys)
+    return ad.matmul(batch.segment_matrix(), _position_logprobs(params, batch))
+
+
+def pair_logprobs(params, contexts, chosen, rejected):
+    """(log pi(y_c | x), log pi(y_r | x)) for every sample: two (B,)
+    tensors from one packed forward."""
+    batch = _pack_contexts(params, list(contexts) * 2, list(chosen) + list(rejected))
+    lp = _position_logprobs(params, batch)
+    seg = batch.segment_matrix()
+    n = len(seg) // 2
+    return ad.matmul(seg[:n], lp), ad.matmul(seg[n:], lp)
+
+
 def sequence_logprob(params, context: InputContext, y):
     """log pi(y | x) as a scalar tensor (sum of per-token log-probs)."""
-    x = encode_context(params, context.image_latent, context.question)
-    return ad.tsum(token_logprobs(params, x, y))
+    return ad.tsum(_position_logprobs(params, _pack_contexts(params, [context], [y])))
+
+
+def masked_nll(position_logprobs, mask):
+    """-sum of the log-probs at the masked positions: the SFT loss."""
+    return -ad.tsum(ad.mul(position_logprobs, Tensor(mask)))
 
 
 def sft_loss(params, context: InputContext, y, mask=None):
@@ -58,21 +98,22 @@ def sft_loss(params, context: InputContext, y, mask=None):
         raise ValueError("mask length must equal |y|")
     if not any(mask):
         raise ValueError("mask selects no tokens")
-    x = encode_context(params, context.image_latent, context.question)
-    lp = token_logprobs(params, x, y)
-    m = Tensor(np.asarray(mask, dtype=np.float64))
-    return -ad.tsum(ad.mul(lp, m))
+    lp = _position_logprobs(params, _pack_contexts(params, [context], [y]))
+    return masked_nll(lp, np.asarray(mask, dtype=np.float64))
 
 
-def _frozen(reference):
-    """The reference detached: itself if grad-free, else a grad-free clone."""
-    if any(t.requires_grad for t in reference.tensors()):
-        return reference.clone(requires_grad=False)
-    return reference
+def pack_conversations(params, conversations):
+    """One `Batch` of flattened conversations plus its (N,) 0/1 loss mask."""
+    flat = [c.flatten() for c in conversations]
+    batch = pack(params, [c.image_latent for c in conversations], [q for q, _, _ in flat],
+                 [y for _, y, _ in flat])
+    return batch, np.concatenate([np.asarray(m, dtype=np.float64) for _, _, m in flat])
 
 
-def _reference_logprob(reference, context, y):
-    return sequence_logprob(_frozen(reference), context, y).item()
+def conversations_sft_loss(params, conversations):
+    """Sum of the masked SFT losses of many conversations, one packed forward."""
+    batch, mask = pack_conversations(params, conversations)
+    return masked_nll(_position_logprobs(params, batch), mask)
 
 
 def dpo_margin(lp_c, lp_r, ref_c, ref_r):
@@ -85,20 +126,21 @@ def dpo_margin_loss(p, beta):
     return -ad.log_sigmoid(beta * p)
 
 
+def _sample_pair(sample):
+    return [sample.context], [sample.chosen], [sample.rejected]
+
+
 def dpo_logit(policy, cfg: DpoConfig, sample: PreferenceSample):
     """log-ratio margin between chosen and rejected (reference included)."""
-    ref_c = _reference_logprob(cfg.reference, sample.context, sample.chosen)
-    ref_r = _reference_logprob(cfg.reference, sample.context, sample.rejected)
-    lp_c = sequence_logprob(policy, sample.context, sample.chosen)
-    lp_r = sequence_logprob(policy, sample.context, sample.rejected)
-    return dpo_margin(lp_c, lp_r, ref_c, ref_r)
+    ref_c, ref_r = pair_logprobs(cfg.reference.frozen(), *_sample_pair(sample))
+    lp_c, lp_r = pair_logprobs(policy, *_sample_pair(sample))
+    return ad.tsum(dpo_margin(lp_c, lp_r, ref_c, ref_r))
 
 
 def dpo_logit_noref(policy, sample: PreferenceSample):
     """Reference-free margin: the negated difference of two SFT losses."""
-    lp_c = sequence_logprob(policy, sample.context, sample.chosen)
-    lp_r = sequence_logprob(policy, sample.context, sample.rejected)
-    return lp_c - lp_r
+    lp_c, lp_r = pair_logprobs(policy, *_sample_pair(sample))
+    return ad.tsum(lp_c - lp_r)
 
 
 def dpo_loss(policy, cfg: DpoConfig, sample: PreferenceSample):
@@ -116,37 +158,45 @@ def bt_probability(reward_c, reward_r):
 
 def implicit_reward(policy, cfg: DpoConfig, context, y):
     """beta * log(pi_policy(y|x) / pi_ref(y|x)); the additive constant is dropped."""
-    ref = _reference_logprob(cfg.reference, context, y)
+    ref = sequence_logprob(cfg.reference.frozen(), context, y).item()
     return cfg.beta * (sequence_logprob(policy, context, y) - ref)
 
 
 def conversation_sft_loss(params, conversation: Conversation):
     """Masked SFT loss over a flattened multi-turn conversation."""
-    first_q, y, mask = conversation.flatten()
-    ctx = InputContext(conversation.image_latent, first_q)
-    return sft_loss(params, ctx, y, mask)
+    return conversations_sft_loss(params, [conversation])
+
+
+def nsft_conversations(gt_conversation: Conversation, constructed: Conversation | None):
+    """The conversations nSFT trains on: the GT one, then the constructed
+    one. An empty constructed conversation is left out (with a warning)
+    rather than failing."""
+    if constructed is None or not constructed.turns:
+        warnings.warn("constructed conversation empty; using GT term only", stacklevel=3)
+        return [gt_conversation]
+    return [gt_conversation, constructed]
 
 
 def nsft_loss(params, gt_conversation: Conversation, constructed: Conversation | None):
-    """SFT on the GT conversation plus SFT on the constructed one.
+    """SFT on the GT conversation plus SFT on the constructed one."""
+    return conversations_sft_loss(params, nsft_conversations(gt_conversation, constructed))
 
-    An empty constructed conversation falls back to the GT term alone
-    (with a warning) rather than failing.
-    """
-    loss = conversation_sft_loss(params, gt_conversation)
-    if constructed is None or not constructed.turns:
-        warnings.warn("constructed conversation empty; using GT term only", stacklevel=2)
-        return loss
-    return ad.add(loss, conversation_sft_loss(params, constructed))
+
+def sample_kls(batch, lp_policy, lp_reference):
+    """Per sample, the mean over its positions of KL(pi_policy(.|prefix) ||
+    pi_ref(.|prefix)), from packed (N, V) log-prob rows: a (B,) tensor."""
+    terms = ad.mul(ad.texp(lp_policy), lp_policy - lp_reference)
+    rows = ad.matmul(terms, np.ones(terms.shape[1]))
+    return ad.matmul(batch.segment_matrix() / np.diff(batch.offsets)[:, None], rows)
+
+
+def per_token_kls(policy, reference, contexts, ys):
+    """`per_token_kl` of every sample, one packed forward per model: (B,)."""
+    batch = _pack_contexts(policy, contexts, ys)
+    lp_r = batch_logprob_matrix(reference.frozen(), batch)
+    return sample_kls(batch, batch_logprob_matrix(policy, batch), lp_r)
 
 
 def per_token_kl(policy, reference, context: InputContext, y):
     """Mean over positions of KL(pi_policy(.|prefix) || pi_ref(.|prefix))."""
-    x_p = encode_context(policy, context.image_latent, context.question)
-    lp_p = token_logprob_matrix(policy, x_p, y)
-    ref = _frozen(reference)
-    x_r = encode_context(ref, context.image_latent, context.question)
-    lp_r = token_logprob_matrix(ref, x_r, y).values
-    diff = lp_p - Tensor(lp_r)
-    kl_terms = ad.mul(ad.texp(lp_p), diff)
-    return ad.tsum(kl_terms) / len(y)
+    return ad.tsum(per_token_kls(policy, reference, [context], [y]))

@@ -23,16 +23,20 @@ from .constructor import (
 )
 from .data import Conversation, StepRecord, TrajectoryLog, Turn, write_csv, write_json
 from .losses import (
-    conversation_sft_loss,
+    conversations_sft_loss,
     dpo_margin,
     dpo_margin_loss,
-    nsft_loss,
-    per_token_kl,
-    sequence_logprob,
+    masked_nll,
+    nsft_conversations,
+    pack_conversations,
+    pair_logprobs,
+    per_token_kls,
+    sample_kls,
+    sequence_logprobs,
 )
 from .metrics import CaptionEval, chair
 from .theory import bias_trajectory_report
-from .model import encode_context, greedy_decode, init_params, params_hash
+from .model import batch_logprob_matrix, greedy_decode_batch, init_params, params_hash
 from .world import (
     CAPTION_QUESTION,
     OBJECT_TOKEN_BASE,
@@ -52,6 +56,7 @@ __all__ = [
     "TrainingDivergedError",
     "cosine_lr",
     "build_training_views",
+    "batch_loss",
     "train",
     "make_base_model",
     "pretrain_base",
@@ -69,6 +74,8 @@ __all__ = [
 ]
 
 METHODS = ("cont_sft", "gt_dpo", "nsft", "sft_kl", "nsft_kl")
+
+_CHUNK = 8  # records per packed forward when scoring and decoding; more grows peak RSS
 
 _OBJECT_TOKEN_RANGE = range(OBJECT_TOKEN_BASE, OBJECT_TOKEN_BASE + len(OBJECTS))
 
@@ -130,7 +137,9 @@ def build_training_views(records, config: TrainConfig, reference=None):
     oracle = RuleBasedOracle()
     codebook = load_default_codebook()
     views = []
-    for rec in records:
+    if config.method == "gt_dpo" and reference is not None:
+        ref_c, ref_r = _score_pairs(reference, records)
+    for r, rec in enumerate(records):
         sample = rec.to_sample()
         gt_conv = Conversation(featurize(rec.scene),
                                [Turn(list(CAPTION_QUESTION), list(rec.chosen))],
@@ -142,60 +151,64 @@ def build_training_views(records, config: TrainConfig, reference=None):
             lo, hi = config.yes_no_band
             view.constructed = balance_yes_no(conv, lo, hi, seed=rec.seed)
         if config.method == "gt_dpo" and reference is not None:
-            view.ref_logprob_chosen = sequence_logprob(reference, sample.context, sample.chosen).item()
-            view.ref_logprob_rejected = sequence_logprob(reference, sample.context, sample.rejected).item()
+            view.ref_logprob_chosen, view.ref_logprob_rejected = ref_c[r], ref_r[r]
         views.append(view)
     return views
 
 
-def _sample_loss(params, reference, view: _SampleView, config: TrainConfig):
-    """Per-sample loss graph plus logging scalars."""
+def batch_loss(params, reference, views, config: TrainConfig):
+    """One step's batch-mean loss as one packed graph, plus per-sample
+    logging arrays: chosen and rejected sequence log-probs for every
+    method, and t1, t2 and the margin for gt_dpo."""
     method = config.method
-    sample = view.sample
-    lp_c = sequence_logprob(params, sample.context, sample.chosen)
-    lp_r = sequence_logprob(params, sample.context, sample.rejected)
-    stats = {"lp_c": lp_c.item(), "lp_r": lp_r.item(), "t1": None, "t2": None, "p_dpo": None}
+    n = len(views)
+    contexts = [v.sample.context for v in views]
+    chosen = [v.sample.chosen for v in views]
+    rejected = [v.sample.rejected for v in views]
 
     if method == "gt_dpo":
-        p = dpo_margin(lp_c, lp_r, view.ref_logprob_chosen, view.ref_logprob_rejected)
-        loss = dpo_margin_loss(p, config.beta)
-        stats["p_dpo"] = p.item()
-        stats["t1"] = math.exp(lp_c.item() - view.ref_logprob_chosen)
-        stats["t2"] = math.exp(lp_r.item() - view.ref_logprob_rejected)
-        return loss, stats
+        lp_c, lp_r = pair_logprobs(params, contexts, chosen, rejected)
+        ref_c = np.array([v.ref_logprob_chosen for v in views])
+        ref_r = np.array([v.ref_logprob_rejected for v in views])
+        p = dpo_margin(lp_c, lp_r, ref_c, ref_r)
+        loss = ad.tsum(dpo_margin_loss(p, config.beta)) / n
+        return loss, {"lp_c": lp_c.values, "lp_r": lp_r.values, "p_dpo": p.values,
+                      "t1": np.exp(lp_c.values - ref_c), "t2": np.exp(lp_r.values - ref_r)}
 
     if method in ("cont_sft", "sft_kl"):
-        loss = conversation_sft_loss(params, view.gt_conversation)
-    else:  # nsft, nsft_kl
-        loss = nsft_loss(params, view.gt_conversation, view.constructed)
-    if method in ("sft_kl", "nsft_kl"):
-        kl = per_token_kl(params, reference, sample.context, sample.chosen)
-        loss = ad.add(loss, config.kl_weight * kl)
-    return loss, stats
+        convs = [v.gt_conversation for v in views]
+    else:  # nsft, nsft_kl: the GT conversations first, then the constructed ones
+        pairs = [nsft_conversations(v.gt_conversation, v.constructed) for v in views]
+        convs = [pair[0] for pair in pairs] + [c for pair in pairs for c in pair[1:]]
+    batch, mask = pack_conversations(params, convs)
+    lp = batch_logprob_matrix(params, batch)
+    position_lp = ad.take_along_rows(lp, batch.targets)
+    loss = masked_nll(position_lp, mask)
+    if method in ("sft_kl", "nsft_kl"):  # KL on the GT caption, the first n samples
+        gt_batch, _ = pack_conversations(params, convs[:n])
+        gt_lp = lp if len(convs) == n else ad.gather_rows(lp, np.arange(gt_batch.offsets[-1]))
+        kl = sample_kls(gt_batch, gt_lp, batch_logprob_matrix(reference.frozen(), gt_batch))
+        loss = ad.add(loss, config.kl_weight * ad.tsum(kl))
+    # the GT conversation is the chosen caption under the caption question
+    lp_c = batch.segment_matrix()[:n] @ position_lp.values
+    lp_r = sequence_logprobs(params.frozen(), contexts, rejected).values
+    return loss / n, {"lp_c": lp_c, "lp_r": lp_r}
 
 
-def _sgd_step(tensors, losses, lr, step):
-    """One SGD update on the batch-mean loss, summed left to right (the
-    float order the frozen experiment reference pins); returns the loss."""
-    total = losses[0]
-    for l in losses[1:]:
-        total = ad.add(total, l)
-    total = total / len(losses)
-    loss_value = total.item()
+def _sgd_step(tensors, loss, lr, step):
+    """One SGD update on the batch-mean loss; returns its value."""
+    loss_value = loss.item()
     if not math.isfinite(loss_value):
         raise TrainingDivergedError(step)
-    grads = backward(total, tensors)
+    grads = backward(loss, tensors)
     for t in tensors:
         t.values -= lr * grads[t]
     return loss_value
 
 
-def _mean_kl(params, reference, views, indices):
-    total = 0.0
-    for i in indices:
-        sample = views[i].sample
-        total += per_token_kl(params, reference, sample.context, sample.chosen).item()
-    return total / len(indices)
+def _mean(values):
+    """Left-to-right mean of a sequence of floats."""
+    return sum(float(v) for v in values) / len(values)
 
 
 def train(config: TrainConfig, records, init_model=None):
@@ -215,31 +228,27 @@ def train(config: TrainConfig, records, init_model=None):
     tensors = params.tensors()
     rng = np.random.default_rng(config.seed)
     log = TrajectoryLog()
+    dpo = config.method == "gt_dpo"
 
     for step in range(config.steps):
         lr = cosine_lr(step, config.steps, config.lr)
-        idx = rng.integers(0, len(views), size=config.batch_size)
-        losses, stats = [], []
-        for i in idx:
-            loss_i, stats_i = _sample_loss(params, reference, views[int(i)], config)
-            losses.append(loss_i)
-            stats.append(stats_i)
-        loss_value = _sgd_step(tensors, losses, lr, step)
-
-        def _mean(key):
-            vals = [s[key] for s in stats if s[key] is not None]
-            return sum(vals) / len(vals) if vals else None
-
+        batch = [views[int(i)] for i in rng.integers(0, len(views), size=config.batch_size)]
+        loss, stats = batch_loss(params, reference, batch, config)
+        loss_value = _sgd_step(tensors, loss, lr, step)
+        del loss  # free this step's graph before the next is built
+        probe = batch[:4]  # KL to the reference, after the update
+        kl = per_token_kls(params.frozen(), reference, [v.sample.context for v in probe],
+                           [v.sample.chosen for v in probe])
         log.append(StepRecord(
             step=step,
             loss=loss_value,
             lr=lr,
-            mean_chosen_logprob=_mean("lp_c"),
-            mean_rejected_logprob=_mean("lp_r"),
-            t1=_mean("t1"),
-            t2=_mean("t2"),
-            p_dpo=_mean("p_dpo"),
-            kl_to_reference=_mean_kl(params, reference, views, [int(i) for i in idx[:4]]),
+            mean_chosen_logprob=_mean(stats["lp_c"]),
+            mean_rejected_logprob=_mean(stats["lp_r"]),
+            t1=_mean(stats["t1"]) if dpo else None,
+            t2=_mean(stats["t2"]) if dpo else None,
+            p_dpo=_mean(stats["p_dpo"]) if dpo else None,
+            kl_to_reference=_mean(kl.values),
         ))
 
     assert params_hash(reference) == ref_hash  # the frozen reference stays frozen
@@ -268,14 +277,14 @@ def make_base_model(records, dim=64, n_blocks=2, steps=8000, batch_size=16):
     tensors = params.tensors()
     noisy_clauses = [parse_caption(rec.rejected) for rec in records]
     clean_clauses = [list(rec.scene.objects) for rec in records]
+    latents = [featurize(rec.scene) for rec in records]
     for step in range(steps):
         step_lr = cosine_lr(step, steps, _PRETRAIN_LR)
         idx = rng.integers(0, len(records), size=batch_size)
-        losses = []
+        convs = []
         for i in idx:
             i = int(i)
-            rec = records[i]
-            lat = featurize(rec.scene)
+            rec, lat = records[i], latents[i]
             noisy = rng.random() < _NOISY_FRAC
             clauses = noisy_clauses[i] if noisy else clean_clauses[i]
             if rng.random() < _QA_FRAC:
@@ -284,8 +293,8 @@ def make_base_model(records, dim=64, n_blocks=2, steps=8000, batch_size=16):
             else:
                 y = rec.rejected if noisy else rec.chosen
                 conv = Conversation(lat, [Turn(list(CAPTION_QUESTION), list(y))])
-            losses.append(conversation_sft_loss(params, conv))
-        _sgd_step(tensors, losses, step_lr, step)
+            convs.append(conv)
+        _sgd_step(tensors, conversations_sft_loss(params, convs) / batch_size, step_lr, step)
     return params
 
 
@@ -294,6 +303,21 @@ def pretrain_base(spec):
     records = make_preference_dataset(spec.pretrain_n, spec.pretrain_seed)
     return make_base_model(records, dim=spec.dim, n_blocks=spec.n_blocks,
                            steps=spec.pretrain_steps, batch_size=spec.batch_size)
+
+
+def _chunks(records):
+    for i in range(0, len(records), _CHUNK):
+        yield records[i:i + _CHUNK]
+
+
+def _decode_records(params, records, max_decode_len):
+    """Greedy captions of every record's caption context, in packed chunks."""
+    out = []
+    for chunk in _chunks(records):
+        contexts = [rec.to_sample().context for rec in chunk]
+        out += greedy_decode_batch(params, [c.image_latent for c in contexts],
+                                   [c.question for c in contexts], max_decode_len)
+    return out
 
 
 def self_response_records(params, records, max_decode_len=16):
@@ -305,10 +329,7 @@ def self_response_records(params, records, max_decode_len=16):
     original record is kept as a fallback.
     """
     out = []
-    for rec in records:
-        sample = rec.to_sample()
-        x = encode_context(params, sample.context.image_latent, sample.context.question)
-        decoded = greedy_decode(params, x, max_decode_len)
+    for rec, decoded in zip(records, _decode_records(params, records, max_decode_len)):
         usable = False
         if decoded != rec.chosen:
             try:
@@ -326,38 +347,48 @@ def self_response_records(params, records, max_decode_len=16):
 
 def evaluate_model(params, eval_records, initial_model=None, max_decode_len=16):
     """Held-out metrics: decoded-caption chair_i, mean chosen/rejected
-    sequence log-probs, and per-token KL drift from the initial model."""
-    evals = []
-    kl_total = 0.0
-    for rec in eval_records:
-        sample = rec.to_sample()
-        x = encode_context(params, sample.context.image_latent, sample.context.question)
-        decoded = greedy_decode(params, x, max_decode_len)
-        mentioned = {t - OBJECT_TOKEN_BASE for t in decoded if t in _OBJECT_TOKEN_RANGE}
-        evals.append(CaptionEval([mentioned], rec.scene.object_ids()))
-        if initial_model is not None:
-            kl_total += per_token_kl(params, initial_model, sample.context, rec.chosen).item()
-    n = len(eval_records)
+    sequence log-probs, and per-token KL drift from the initial model.
+
+    chair_i is None when no decoded caption names an object: CHAIR
+    rewards saying nothing, so silence is not scored as perfect.
+    """
+    evals = [CaptionEval([{t - OBJECT_TOKEN_BASE for t in decoded if t in _OBJECT_TOKEN_RANGE}],
+                         rec.scene.object_ids())
+             for rec, decoded in zip(eval_records, _decode_records(params, eval_records, max_decode_len))]
+    kl_drift = 0.0
+    if initial_model is not None:
+        kls = []
+        for chunk in _chunks(eval_records):
+            kls += list(per_token_kls(params.frozen(), initial_model, [r.to_sample().context for r in chunk],
+                                      [r.chosen for r in chunk]).values)
+        kl_drift = _mean(kls)
     result = chair(evals)
     mean_c, mean_r = mean_sequence_logprobs(params, eval_records)
     return {
-        "chair_i": result.chair_i if result.chair_i is not None else 0.0,
+        "chair_i": result.chair_i,
         "chair_s": result.chair_s,
         "mean_chosen_logprob": mean_c,
         "mean_rejected_logprob": mean_r,
-        "kl_drift": (kl_total / n) if initial_model is not None else 0.0,
+        "kl_drift": kl_drift,
     }
+
+
+def _score_pairs(params, records):
+    """Chosen and rejected sequence log-probs of every record, as two lists."""
+    chosen, rejected = [], []
+    for chunk in _chunks(records):
+        samples = [rec.to_sample() for rec in chunk]
+        lp_c, lp_r = pair_logprobs(params.frozen(), [s.context for s in samples],
+                                   [s.chosen for s in samples], [s.rejected for s in samples])
+        chosen += [float(v) for v in lp_c.values]
+        rejected += [float(v) for v in lp_r.values]
+    return chosen, rejected
 
 
 def mean_sequence_logprobs(params, records):
     """Mean chosen/rejected sequence log-probs over preference records."""
-    c_total, r_total = 0.0, 0.0
-    for rec in records:
-        sample = rec.to_sample()
-        c_total += sequence_logprob(params, sample.context, sample.chosen).item()
-        r_total += sequence_logprob(params, sample.context, sample.rejected).item()
-    n = len(records)
-    return c_total / n, r_total / n
+    chosen, rejected = _score_pairs(params, records)
+    return _mean(chosen), _mean(rejected)
 
 
 @dataclass

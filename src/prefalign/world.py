@@ -431,4 +431,13 @@ def write_dataset_jsonl(records, path):
 
 
 def read_dataset_jsonl(path):
-    return [PreferenceRecord.from_dict(d) for d in read_jsonl(path)]
+    """Read records written by `write_dataset_jsonl`; ValueError on a token
+    id outside [0, VOCAB_SIZE) or a chosen caption that is not the
+    rendering of its scene."""
+    records = [PreferenceRecord.from_dict(d) for d in read_jsonl(path)]
+    for rec in records:
+        if not all(0 <= t < VOCAB_SIZE for t in rec.chosen + rec.rejected):
+            raise ValueError(f"record {rec.seed}: token id outside [0, {VOCAB_SIZE})")
+        if rec.chosen != render_caption(rec.scene):
+            raise ValueError(f"record {rec.seed}: chosen caption is not its scene's rendering")
+    return records

@@ -3,6 +3,8 @@ their mutual agreement."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prefalign.autodiff as ad
 from prefalign.autodiff import Tensor, backward, finite_diff, relative_error
@@ -119,3 +121,74 @@ def test_concat_rows_routes_gradients():
     g = backward(ad.tsum(ad.mul(out, scale)), [a, b])
     assert np.array_equal(g[a], np.arange(6.0).reshape(2, 3))
     assert np.array_equal(g[b], np.arange(6.0, 9.0).reshape(1, 3))
+
+
+def _packed_segments(context_lens, answer_lens):
+    """lo/hi of every answer position when sequences are packed as in
+    `model.pack`: n_ctx rows, then all but the last answer token."""
+    lo, hi, start = [], [], 0
+    for n_ctx, n_ans in zip(context_lens, answer_lens):
+        lo += [start] * n_ans
+        hi += range(start + n_ctx, start + n_ctx + n_ans)
+        start += n_ctx + n_ans - 1
+    return lo, hi, start
+
+
+def _check_segment_mean(context_lens, answer_lens, width, seed):
+    lo, hi, rows = _packed_segments(context_lens, answer_lens)
+    rng = np.random.default_rng(seed)
+    t = Tensor(rng.normal(size=(rows, width)), requires_grad=True)
+    weights = Tensor(rng.normal(size=(len(lo), width)))
+    out = ad.segment_mean(t, lo, hi)
+    want = np.array([t.values[a:b].mean(axis=0) for a, b in zip(lo, hi)])
+    assert np.max(np.abs(out.values - want)) <= 1e-12
+
+    def loss():
+        return ad.tsum(ad.mul(ad.segment_mean(t, lo, hi), weights))
+
+    g = backward(loss(), [t])[t]
+    g_fd = finite_diff(lambda: loss().item(), [t])[t]
+    assert relative_error(g, g_fd, floor=1e-6) <= 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seqs=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4),
+    width=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_segment_mean_adjoint_matches_finite_diff(seqs, width, seed):
+    context_lens, answer_lens = zip(*seqs)
+    _check_segment_mean(context_lens, answer_lens, width, seed)
+
+
+@pytest.mark.parametrize("context_lens,answer_lens,width", [
+    ((1,), (1,), 3),           # a (1, d) input: one row, one segment of length 1
+    ((1, 1, 1), (1, 1, 1), 2),  # every segment has length 1
+    ((3,), (4,), 2),           # a batch of one
+    ((1, 4, 2), (3, 1, 5), 2),  # ragged segment lengths
+])
+def test_segment_mean_edge_cases(context_lens, answer_lens, width):
+    _check_segment_mean(context_lens, answer_lens, width, seed=7)
+
+
+def test_constant_parents_get_no_adjoint():
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    const = Tensor(np.ones((4, 3)))
+    g = np.ones((4, 2))
+    inner = ad.matmul(const, w)
+    ones = Tensor(np.ones((4, 2)))
+    for out in (inner, ad.add(ones, inner), ad.mul(ones, inner), ad.concat_rows([Tensor(np.ones((1, 2))), w])):
+        grads = out._backward_fn(g)
+        assert [pg is None for pg in grads] == [not p.requires_grad for p in out._parents]
+
+
+def test_sigmoid_and_log_sigmoid_values_unchanged_bitwise():
+    v = np.concatenate([np.linspace(-40, 40, 801), [-800.0, -1e-300, 0.0, 1e-300, 800.0]])
+    e = np.exp(-np.abs(v))
+    three_exp = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
+                         np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    assert np.array_equal(ad.sigmoid(Tensor(v)).values, three_exp)
+    assert np.array_equal(ad.log_sigmoid(Tensor(v)).values, np.minimum(v, 0.0) - np.log1p(e))
+    t = Tensor(v, requires_grad=True)
+    assert np.array_equal(backward(ad.tsum(ad.log_sigmoid(t)), [t])[t], 1.0 - three_exp)

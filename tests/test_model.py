@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from prefalign.model import (
+    batch_logprob_matrix,
     encode_context,
     greedy_decode,
+    greedy_decode_batch,
     init_params,
+    pack,
     load_checkpoint,
     params_hash,
     save_checkpoint,
@@ -178,6 +181,53 @@ def test_greedy_decode_stops_at_eos():
     params.out.values[:, params.eos_id] = 50.0
     x = encode_context(params, np.zeros(K), [1])
     assert greedy_decode(params, x, 10) == [params.eos_id]
+
+
+def _ragged_contexts():
+    rng = np.random.default_rng(3)
+    latents = rng.normal(size=(4, K))
+    questions = [[1], [2, 3], [4, 5, 6], [7]]
+    ys = [[9], [3, 1, 4, 1], [5, 9], [2, 6, 5]]
+    return latents, questions, ys
+
+
+def test_batch_logprob_matrix_matches_single_samples():
+    params = _params(seed=5, scale=0.5)
+    latents, questions, ys = _ragged_contexts()
+    batch = pack(params, latents, questions, ys)
+    got = batch_logprob_matrix(params, batch).values
+    assert list(batch.targets) == [t for y in ys for t in y]
+    for b, (latent, q, y) in enumerate(zip(latents, questions, ys)):
+        want = token_logprob_matrix(params, encode_context(params, latent, q), y).values
+        rows = got[batch.offsets[b]:batch.offsets[b + 1]]
+        assert np.max(np.abs(rows - want)) <= 1e-12
+
+
+def test_packed_paths_reject_token_ids_outside_vocab():
+    # an id >= V would otherwise gather an image-slot row of the packed table
+    params = _params()
+    x = encode_context(params, np.zeros(K), [1])
+    for bad in (V, V + 1, -1):
+        with pytest.raises(ValueError, match="token id out of range"):
+            token_logprob_matrix(params, x, [1, bad])
+        with pytest.raises(ValueError, match="token id out of range"):
+            pack(params, np.zeros((2, K)), [[1], [1]], [[2], [2, bad]])
+        with pytest.raises(ValueError, match="token id out of range"):
+            pack(params, np.zeros((1, K)), [[bad]], [[2]])
+        with pytest.raises(ValueError):
+            greedy_decode_batch(params, np.zeros((1, K)), [[bad]], 3)
+
+
+def test_greedy_decode_batch_matches_single_decodes():
+    params = _params(seed=17, scale=0.5)
+    params.out.values[:, params.eos_id] += 1.0  # some captions stop early, one runs to max_len
+    latents, questions, _ = _ragged_contexts()
+    decoded = greedy_decode_batch(params, latents, questions, 6)
+    contexts = [encode_context(params, latent, q) for latent, q in zip(latents, questions)]
+    assert decoded == [greedy_decode(params, x, 6) for x in contexts]
+    assert len({len(d) for d in decoded}) > 1
+    for x, out in zip(contexts, decoded):  # each token is the full forward's argmax
+        assert list(np.argmax(token_logprob_matrix(params, x, out).values, axis=1)) == out
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

@@ -1,27 +1,41 @@
 """Continual-alignment training loop: determinism, logging, method
 comparison scaffolding, and the experiment pipeline at toy sizes."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from prefalign import world
-from prefalign.model import init_params, params_hash
+from prefalign.autodiff import backward, relative_error
+from prefalign.losses import (
+    conversation_sft_loss,
+    dpo_margin,
+    dpo_margin_loss,
+    nsft_loss,
+    per_token_kl,
+    sequence_logprob,
+)
+from prefalign.model import greedy_decode_batch, init_params, params_hash
 from prefalign.training import (
     METHODS,
     ExperimentSpec,
     TrainConfig,
     TrainingDivergedError,
+    batch_loss,
     build_training_views,
     compare_methods,
     cosine_lr,
     default_experiment_configs,
+    evaluate_model,
     make_base_model,
     mean_sequence_logprobs,
     run_experiment,
     self_response_records,
     train,
+    write_comparison_csv,
+    write_comparison_json,
 )
 
 RECORDS = world.make_preference_dataset(12, 40)
@@ -85,6 +99,98 @@ def test_make_base_model_matches_golden():
     base = make_base_model(RECORDS, dim=16, steps=3)
     sums = [float(np.sum(t.values ** 2)) for t in base.tensors()]
     assert sums == pytest.approx(GOLDEN_BASE_SUM_SQUARES, rel=1e-12)
+
+
+# Every StepRecord field of those runs, recorded from the per-sample loop
+# before each batch became one packed graph: (loss, mean_chosen_logprob,
+# mean_rejected_logprob, t1, t2, p_dpo, kl_to_reference).
+GOLDEN_STEP_RECORDS = {
+    "cont_sft": [
+        (30.156129866205035, -30.156129866205035, -26.320389973574635, None, None, None, 0.00012489348629764652),
+        (45.21755982477429, -45.21755982477429, -26.284857611832216, None, None, None, 0.000440442407997604),
+        (41.01416963320774, -41.01416963320774, -29.77149533473873, None, None, None, 0.0005831892397851298),
+    ],
+    "gt_dpo": [
+        (0.6931471805599453, -30.156129866205035, -26.320389973574635, 1.0, 1.0, 0.0, 2.250054599997527e-08),
+        (0.6931101571956216, -45.43873881784842, -26.42353933241898, 1.0017361149480044, 1.0009946420673694, 0.0007404823325787291, 1.10174945297274e-07),
+        (0.6930766579010613, -41.396751307165644, -30.0616063851105, 1.005080675637827, 1.0036635077712766, 0.001410600444485155, 1.3325630809005296e-07),
+    ],
+    "nsft": [
+        (68.88893327229418, -30.156129866205035, -26.320389973574635, None, None, None, 0.0008988864121766921),
+        (82.73919506436697, -45.030586034208, -26.122569807065815, None, None, None, 0.002745769196162983),
+        (77.72035573707319, -40.698087483625805, -29.473706640245844, None, None, None, 0.0036373428182543393),
+    ],
+    "sft_kl": [
+        (30.156129866205035, -30.156129866205035, -26.320389973574635, None, None, None, 0.00012489348629764652),
+        (45.21757212282934, -45.21755982477429, -26.284857611832216, None, None, None, 0.00044038958178507933),
+        (41.01423357029948, -41.01418911634135, -29.77151014365923, None, None, None, 0.0005830874757470663),
+    ],
+    "nsft_kl": [
+        (68.88893327229418, -30.156129866205035, -26.320389973574635, None, None, None, 0.0008988864121766921),
+        (82.73928416134544, -45.030586034208, -26.122569807065815, None, None, None, 0.002745401986409691),
+        (77.7207559298686, -40.69812606029651, -29.473737843631003, None, None, None, 0.0036366414459054865),
+    ],
+}
+STEP_FIELDS = ("loss", "mean_chosen_logprob", "mean_rejected_logprob", "t1", "t2", "p_dpo",
+               "kl_to_reference")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_step_records_match_per_sample_golden(method):
+    _, log = train(_config(method=method), RECORDS)
+    assert len(log) == len(GOLDEN_STEP_RECORDS[method])
+    for record, want in zip(log, GOLDEN_STEP_RECORDS[method]):
+        for field, w in zip(STEP_FIELDS, want):
+            got = getattr(record, field)
+            if w is None:
+                assert got is None, field
+            else:
+                # floor 1e-6: gt_dpo's KL (~1e-7) is what is left after its
+                # ~1e-4 terms cancel, so float order alone moves it ~1e-9
+                assert relative_error(got, w, floor=1e-6) <= 1e-10, (field, got, w)
+
+
+def _per_sample_loss(params, reference, view, config):
+    """One sample's loss from the single-sample functions, as the
+    training loop built it before batches were packed."""
+    sample = view.sample
+    if config.method == "gt_dpo":
+        lp_c = sequence_logprob(params, sample.context, sample.chosen)
+        lp_r = sequence_logprob(params, sample.context, sample.rejected)
+        p = dpo_margin(lp_c, lp_r, view.ref_logprob_chosen, view.ref_logprob_rejected)
+        return dpo_margin_loss(p, config.beta)
+    if config.method in ("cont_sft", "sft_kl"):
+        loss = conversation_sft_loss(params, view.gt_conversation)
+    else:
+        loss = nsft_loss(params, view.gt_conversation, view.constructed)
+    if config.method in ("sft_kl", "nsft_kl"):
+        loss = loss + config.kl_weight * per_token_kl(params, reference, sample.context, sample.chosen)
+    return loss
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_packed_batch_loss_matches_per_sample_graphs(method):
+    config = _config(method=method, batch_size=8)
+    params = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=0)
+    reference = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=1, requires_grad=False)
+    views = build_training_views(RECORDS, config, reference=reference)
+    batch = [views[int(i)] for i in np.random.default_rng(3).integers(0, len(views), size=8)]
+
+    packed, stats = batch_loss(params, reference, batch, config)
+    total = _per_sample_loss(params, reference, batch[0], config)
+    for view in batch[1:]:
+        total = total + _per_sample_loss(params, reference, view, config)
+    total = total / len(batch)
+    assert relative_error(packed.item(), total.item()) <= 1e-10
+    g_packed = backward(packed, params.tensors())
+    g_total = backward(total, params.tensors())
+    for t in params.tensors():
+        assert np.max(np.abs(g_packed[t] - g_total[t])) <= 1e-10 * np.max(np.abs(g_total[t]))
+
+    lp_c = [sequence_logprob(params, v.sample.context, v.sample.chosen).item() for v in batch]
+    lp_r = [sequence_logprob(params, v.sample.context, v.sample.rejected).item() for v in batch]
+    assert relative_error(stats["lp_c"], lp_c) <= 1e-10
+    assert relative_error(stats["lp_r"], lp_r) <= 1e-10
 
 
 def test_zero_steps_leaves_params_and_log_empty():
@@ -173,6 +279,22 @@ def test_mean_sequence_logprobs_matches_manual():
                       for x in recs])
     assert c == pytest.approx(want_c, abs=1e-12)
     assert r == pytest.approx(want_r, abs=1e-12)
+
+
+def test_silent_model_reports_no_chair_i(tmp_path):
+    # a model that names no object must not score a perfect chair_i of 0.0
+    params = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=2)
+    params.out.values[:, world.EOS_ID] += 50.0
+    contexts = [r.to_sample().context for r in RECORDS[:4]]
+    assert greedy_decode_batch(params, [c.image_latent for c in contexts],
+                               [c.question for c in contexts], 16) == [[world.EOS_ID]] * 4
+    ev = evaluate_model(params, RECORDS[:4], initial_model=params)
+    assert ev["chair_i"] is None and ev["chair_s"] == 0.0
+    report = compare_methods([], RECORDS, RECORDS[:4], params)
+    write_comparison_csv(report, tmp_path / "cmp.csv")
+    write_comparison_json(report, tmp_path / "cmp.json")
+    assert (tmp_path / "cmp.csv").read_text().splitlines()[1].split(",")[:2] == ["baseline", ""]
+    assert json.loads((tmp_path / "cmp.json").read_text())["rows"][0]["chair_i"] is None
 
 
 def test_default_experiment_configs_cover_methods():

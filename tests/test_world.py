@@ -1,5 +1,7 @@
 """Synthetic world: scenes, captions, corruptions, dataset determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,30 @@ def test_dataset_serialization_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     loaded = read_dataset_jsonl(p1)
     assert [r.to_dict() for r in loaded] == [r.to_dict() for r in records]
+
+
+def _write_edited(tmp_path, edit):
+    path = tmp_path / "edited.jsonl"
+    write_dataset_jsonl(make_preference_dataset(3, 4), path)
+    docs = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(docs[1])
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    return path
+
+
+@pytest.mark.parametrize("bad_id", [world.VOCAB_SIZE, -1])
+def test_read_dataset_rejects_token_ids_out_of_range(tmp_path, bad_id):
+    def edit(doc):
+        doc["rejected_tokens"][0] = bad_id
+    with pytest.raises(ValueError, match="token id"):
+        read_dataset_jsonl(_write_edited(tmp_path, edit))
+
+
+def test_read_dataset_rejects_chosen_that_is_not_the_scene_rendering(tmp_path):
+    def edit(doc):
+        doc["chosen_tokens"], doc["rejected_tokens"] = doc["rejected_tokens"], doc["chosen_tokens"]
+    with pytest.raises(ValueError, match="rendering"):
+        read_dataset_jsonl(_write_edited(tmp_path, edit))
 
 
 def test_dataset_category_balance_near_uniform():
