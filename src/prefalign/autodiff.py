@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 The op set is deliberately small: matmul, add, multiply, row gather,
-log-softmax, reductions, sigmoid, log, exp, concat and a segment mean.
+log-softmax, reductions, sigmoid, log, exp and concat.
 That closed set is enough to express every loss in this package while
 keeping each op's adjoint a few lines of numpy. An op computes no
 adjoint for a constant parent.
@@ -28,7 +28,6 @@ __all__ = [
     "tlog",
     "texp",
     "concat_rows",
-    "segment_mean",
 ]
 
 
@@ -220,7 +219,7 @@ def tsum(t):
 def _sigmoid_parts(v):
     """(sigma(v), exp(-|v|)) from one exp, stable at both tails."""
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0, e) / (1.0 + e), e
+    return ((v < 0) * e + (v >= 0)) / (1.0 + e), e
 
 
 def sigmoid(t):
@@ -276,35 +275,6 @@ def concat_rows(tensors):
                      for i, t in enumerate(tensors))
 
     return _node(np.concatenate([t.values for t in tensors], axis=0), tensors, bwd)
-
-
-def segment_mean(t, lo, hi):
-    """out[r] = mean(t[lo[r]:hi[r]]) over the rows of a 2-d t.
-
-    Every output row is a difference of one running row sum, so the cost
-    is linear in rows however long the segments are. The caller keeps
-    lo[r] < hi[r], hi strictly increasing and lo non-decreasing (each run
-    of equal lo is one packed sequence); `model.pack` builds them so.
-    """
-    t = _wrap(t)
-    v = t.values
-    lo = np.asarray(lo, dtype=np.intp)
-    hi = np.asarray(hi, dtype=np.intp)
-    csum = np.zeros((v.shape[0] + 1,) + v.shape[1:])
-    np.cumsum(v, axis=0, out=csum[1:])
-    count = (hi - lo).astype(np.float64)[:, None]
-
-    def bwd(g):
-        # adjoint of csum: +g/n at each hi, minus each run's total at its lo;
-        # csum[k] sums rows j < k, so row j collects every csum adjoint past it
-        gn = g / count
-        gc = np.zeros_like(csum)
-        gc[hi] = gn
-        runs = np.flatnonzero(np.diff(lo, prepend=-1))
-        gc[lo[runs]] -= np.add.reduceat(gn, runs, axis=0)
-        return (np.cumsum(gc[:0:-1], axis=0)[::-1],)
-
-    return _node((csum[hi] - csum[lo]) / count, (t,), bwd)
 
 
 # ---------------------------------------------------------------------------

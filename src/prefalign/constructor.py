@@ -224,10 +224,10 @@ def qa_turns_from_clauses(clauses, rng, n):
         kind = rng.integers(0, 3)
         if kind == 0:
             if rng.random() < 0.5:
-                turns.append(Turn(_q_exists(int(rng.choice(present))), _a(["yes"])))
+                turns.append(Turn(_q_exists(present[int(rng.integers(len(present)))]), _a(["yes"])))
             else:
                 absent = [o for o in range(len(OBJECTS)) if o not in present]
-                turns.append(Turn(_q_exists(int(rng.choice(absent))), _a(["no"])))
+                turns.append(Turn(_q_exists(absent[int(rng.integers(len(absent)))]), _a(["no"])))
         elif kind == 1:
             cl = clauses[int(rng.integers(0, len(clauses)))]
             turns.append(Turn(_q_color(cl.obj), _a([COLORS[cl.color]])))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .data import Conversation, InputContext, PreferenceSample
 from .model import ModelParams, batch_logprob_matrix, pack
 
@@ -25,7 +24,6 @@ __all__ = [
     "sequence_logprobs",
     "pair_logprobs",
     "sequence_logprob",
-    "masked_nll",
     "sft_loss",
     "pack_conversations",
     "conversations_sft_loss",
@@ -55,8 +53,9 @@ class DpoConfig:
             raise ValueError("beta must be positive")
 
 
-def _pack_contexts(params, contexts, ys):
-    return pack(params, [c.image_latent for c in contexts], [c.question for c in contexts], ys)
+def _pack_contexts(params, contexts, ys, masks=None):
+    return pack(params, [c.image_latent for c in contexts], [c.question for c in contexts], ys,
+                masks)
 
 
 def _position_logprobs(params, batch):
@@ -85,35 +84,25 @@ def sequence_logprob(params, context: InputContext, y):
     return ad.tsum(_position_logprobs(params, _pack_contexts(params, [context], [y])))
 
 
-def masked_nll(position_logprobs, mask):
-    """-sum of the log-probs at the masked positions: the SFT loss."""
-    return -ad.tsum(ad.mul(position_logprobs, Tensor(mask)))
-
-
 def sft_loss(params, context: InputContext, y, mask=None):
     """Cross-entropy over masked answer positions: -sum log pi(y_i|y_<i,x)."""
     if mask is None:
         mask = [True] * len(y)
-    if len(mask) != len(y):
-        raise ValueError("mask length must equal |y|")
     if not any(mask):
         raise ValueError("mask selects no tokens")
-    lp = _position_logprobs(params, _pack_contexts(params, [context], [y]))
-    return masked_nll(lp, np.asarray(mask, dtype=np.float64))
+    return -ad.tsum(_position_logprobs(params, _pack_contexts(params, [context], [y], [mask])))
 
 
 def pack_conversations(params, conversations):
-    """One `Batch` of flattened conversations plus its (N,) 0/1 loss mask."""
-    flat = [c.flatten() for c in conversations]
-    batch = pack(params, [c.image_latent for c in conversations], [q for q, _, _ in flat],
-                 [y for _, y, _ in flat])
-    return batch, np.concatenate([np.asarray(m, dtype=np.float64) for _, _, m in flat])
+    """One `Batch` of flattened conversations whose positions are their
+    loss-carrying answer tokens."""
+    questions, ys, masks = zip(*(c.flatten() for c in conversations))
+    return pack(params, [c.image_latent for c in conversations], questions, ys, masks)
 
 
 def conversations_sft_loss(params, conversations):
     """Sum of the masked SFT losses of many conversations, one packed forward."""
-    batch, mask = pack_conversations(params, conversations)
-    return masked_nll(_position_logprobs(params, batch), mask)
+    return -ad.tsum(_position_logprobs(params, pack_conversations(params, conversations)))
 
 
 def dpo_margin(lp_c, lp_r, ref_c, ref_r):

@@ -10,6 +10,7 @@ __all__ = [
     "CaptionEval",
     "ChairResult",
     "chair",
+    "object_recall",
     "ScoreSheet",
     "aggregate_scores",
     "read_caption_evals_jsonl",
@@ -64,6 +65,16 @@ def chair(evals):
         return ChairResult(None, chair_s, None)
     chair_i = hallucinated / mentions
     return ChairResult(chair_i, chair_s, (chair_i + chair_s) / 2.0)
+
+
+def object_recall(evals):
+    """Ground-truth objects named over ground-truth objects, pooled over
+    captions; None when there is no ground-truth object. CHAIR rewards
+    saying less, so recall is read beside it."""
+    total = sum(len(e.ground_truth) for e in evals)
+    if total == 0:
+        return None
+    return sum(len(e.ground_truth.intersection(set().union(*e.mentioned))) for e in evals) / total
 
 
 @dataclass

@@ -25,6 +25,7 @@ __all__ = [
     "encode_context",
     "Batch",
     "pack",
+    "prefix_means",
     "batch_logprob_matrix",
     "token_logprob_matrix",
     "token_logprobs",
@@ -135,20 +136,19 @@ def _head(params, means):
 class Batch:
     """Sequences packed into one forward pass.
 
-    Sample b's rows are its image slot, its question and all but the
-    last answer token, stored as gather ids into the table
-    ``[embed; image slots]`` (id V + b is sample b's image slot). Answer
-    position i of sample b is predicted from the mean of the sample's
-    rows lo..hi-1, with hi growing by one per position; `offsets`
-    delimits each sample's answer positions.
+    Position i predicts ``targets[i]`` from the mean of its prefix: its
+    sample's image slot, question and answer tokens before it. That mean
+    is row i of ``w_tok @ embed + w_img @ img_proj``, where row i of
+    ``w_tok`` holds the prefix's token counts and row i of ``w_img`` the
+    sample's latent, both divided by the prefix length. Only loss-carrying
+    answer tokens are positions; a masked-out one is prefix only.
+    `offsets` delimits each sample's positions.
     """
 
-    latents: np.ndarray  # (B, k)
-    rows: np.ndarray     # (T,) gather ids
-    lo: np.ndarray       # (N,) first row of each position's prefix
-    hi: np.ndarray       # (N,) one past its last row
+    w_tok: np.ndarray    # (N, V)
+    w_img: np.ndarray    # (N, k)
     targets: np.ndarray  # (N,) answer tokens
-    offsets: np.ndarray  # (B + 1,) answer positions of sample b: offsets[b]:offsets[b+1]
+    offsets: np.ndarray  # (B + 1,) positions of sample b: offsets[b]:offsets[b+1]
 
     def segment_matrix(self):
         """(B, N) 0/1 array S with S[b, i] = 1 on sample b's positions, so
@@ -156,42 +156,62 @@ class Batch:
         return np.repeat(np.eye(len(self.offsets) - 1), np.diff(self.offsets), axis=1)
 
 
-def pack(params, latents, questions, ys):
+def _token_counts(tokens, lo, hi, vocab_size):
+    """(N, V) count of each token id in tokens[lo[i]:hi[i]], from one
+    cumulative sum over a one-hot of the tokens."""
+    onehot = np.zeros((len(tokens) + 1, vocab_size))
+    onehot[np.arange(1, len(tokens) + 1), np.array(tokens, dtype=np.intp)] = 1.0
+    csum = onehot.cumsum(axis=0)  # row j counts tokens[:j]
+    return csum.take(hi, axis=0) - csum.take(lo, axis=0)
+
+
+def pack(params, latents, questions, ys, masks=None):
     """Pack (image latent, question, answer) triples into one `Batch`.
 
-    Raises ValueError on a latent of the wrong size, an empty question or
-    answer, or a token id outside [0, V) (which the packed gather would
-    otherwise read as an image slot).
+    With `masks`, answer token i of sample b is a position only where
+    ``masks[b][i]`` is true. Raises ValueError on a latent of the wrong
+    size, an empty question or answer, a mask of the wrong length, or a
+    token id outside [0, V).
     """
     v = params.vocab_size
     latents = np.asarray(latents, dtype=np.float64)
     if latents.ndim != 2 or latents.shape[1] != params.latent_dim:
         raise ValueError(f"latent dim {latents.shape[1:]} != ({params.latent_dim},)")
-    rows, lo, hi, targets, offsets = [], [], [], [], [0]
+    tokens, lo, hi, targets, sample, offsets = [], [], [], [], [], [0]
     for b, (question, y) in enumerate(zip(questions, ys)):
         question, y = list(question), list(y)
         if not question or not y:
             raise ValueError("question and y must be non-empty")
         if min(question + y) < 0 or max(question + y) >= v:
             raise ValueError("token id out of range")
-        start, n_ctx = len(rows), 1 + len(question)
-        rows += [v + b] + question + y[:-1]
-        lo += [start] * len(y)
-        hi += range(start + n_ctx, start + n_ctx + len(y))
-        targets += y
+        if masks is not None and len(masks[b]) != len(y):
+            raise ValueError("mask length must equal |y|")
+        keep = range(len(y)) if masks is None else [i for i, m in enumerate(masks[b]) if m]
+        start, end = len(tokens), len(tokens) + len(question)
+        tokens += question + y[:-1]
+        lo += [start] * len(keep)
+        hi += [end + i for i in keep]
+        targets += [y[i] for i in keep]
+        sample += [b] * len(keep)
         offsets.append(len(targets))
     if len(offsets) != len(latents) + 1:
         raise ValueError("need one latent, question and y per sample")
-    return Batch(latents, np.array(rows, dtype=np.intp), np.array(lo, dtype=np.intp),
-                 np.array(hi, dtype=np.intp), np.array(targets, dtype=np.intp),
-                 np.array(offsets, dtype=np.intp))
+    lo, hi = np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)
+    n = (hi - lo + 1.0)[:, None]  # the prefix length, image slot included
+    return Batch(_token_counts(tokens, lo, hi, v) / n,
+                 latents.take(np.array(sample, dtype=np.intp), axis=0) / n,
+                 np.array(targets, dtype=np.intp), np.array(offsets, dtype=np.intp))
+
+
+def prefix_means(params, batch):
+    """(N, d) prefix mean of every packed position: two matmuls whose left
+    operands are constants, so each backward is one ``w.T @ g``."""
+    return ad.add(ad.matmul(batch.w_tok, params.embed), ad.matmul(batch.w_img, params.img_proj))
 
 
 def batch_logprob_matrix(params, batch):
-    """(N, V) log-probabilities of every packed answer position."""
-    slots = ad.matmul(Tensor(batch.latents), params.img_proj)
-    stack = ad.gather_rows(ad.concat_rows([params.embed, slots]), batch.rows)
-    return _head(params, ad.segment_mean(stack, batch.lo, batch.hi))
+    """(N, V) log-probabilities of every packed position."""
+    return _head(params, prefix_means(params, batch))
 
 
 def token_logprob_matrix(params, x, y):
@@ -201,9 +221,12 @@ def token_logprob_matrix(params, x, y):
         raise ValueError("y must be non-empty")
     if min(y) < 0 or max(y) >= params.vocab_size:
         raise ValueError("token id out of range")
-    stack = ad.concat_rows([x, ad.gather_rows(params.embed, y[:-1])]) if len(y) > 1 else x
     n_ctx = x.values.shape[0]
-    return _head(params, ad.segment_mean(stack, [0] * len(y), range(n_ctx, n_ctx + len(y))))
+    n = np.arange(n_ctx, n_ctx + len(y), dtype=np.float64)[:, None]  # prefix lengths
+    w_tok = _token_counts(y[:-1], np.zeros(len(y), dtype=np.intp), np.arange(len(y)),
+                          params.vocab_size) / n
+    w_ctx = np.ones((len(y), n_ctx)) / n
+    return _head(params, ad.add(ad.matmul(w_ctx, x), ad.matmul(w_tok, params.embed)))
 
 
 def token_logprobs(params, x, y):
@@ -221,14 +244,15 @@ def greedy_decode(params, x, max_len):
 
 def greedy_decode_batch(params, latents, questions, max_len):
     """`greedy_decode` of many (image latent, question) contexts at once."""
-    batch = pack(params, latents, questions, [[0]] * len(questions))  # validates the contexts
-    slots = batch.latents @ params.img_proj.values
-    ctx = np.zeros((len(questions), max(batch.hi - batch.lo), params.dim))
-    for b, (lo, hi) in enumerate(zip(batch.lo, batch.hi)):
+    pack(params, latents, questions, [[0]] * len(questions))  # validates the contexts
+    slots = np.asarray(latents, dtype=np.float64) @ params.img_proj.values
+    counts = [1 + len(q) for q in questions]
+    ctx = np.zeros((len(questions), max(counts), params.dim))
+    for b, q in enumerate(questions):
         ctx[b, 0] = slots[b]
-        ctx[b, 1:hi - lo] = params.embed.values[batch.rows[lo + 1:hi]]
+        ctx[b, 1:counts[b]] = params.embed.values[list(q)]
     # zero padding after a shorter context leaves its running sum unchanged
-    return _decode(params, np.cumsum(ctx, axis=1)[:, -1], batch.hi - batch.lo, max_len)
+    return _decode(params, np.cumsum(ctx, axis=1)[:, -1], counts, max_len)
 
 
 def _decode(params, sums, counts, max_len):

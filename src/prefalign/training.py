@@ -26,7 +26,6 @@ from .losses import (
     conversations_sft_loss,
     dpo_margin,
     dpo_margin_loss,
-    masked_nll,
     nsft_conversations,
     pack_conversations,
     pair_logprobs,
@@ -34,11 +33,12 @@ from .losses import (
     sample_kls,
     sequence_logprobs,
 )
-from .metrics import CaptionEval, chair
+from .metrics import CaptionEval, chair, object_recall
 from .theory import bias_trajectory_report
 from .model import batch_logprob_matrix, greedy_decode_batch, init_params, params_hash
 from .world import (
     CAPTION_QUESTION,
+    EOS_ID,
     OBJECT_TOKEN_BASE,
     OBJECTS,
     VOCAB_SIZE,
@@ -180,12 +180,12 @@ def batch_loss(params, reference, views, config: TrainConfig):
     else:  # nsft, nsft_kl: the GT conversations first, then the constructed ones
         pairs = [nsft_conversations(v.gt_conversation, v.constructed) for v in views]
         convs = [pair[0] for pair in pairs] + [c for pair in pairs for c in pair[1:]]
-    batch, mask = pack_conversations(params, convs)
+    batch = pack_conversations(params, convs)
     lp = batch_logprob_matrix(params, batch)
     position_lp = ad.take_along_rows(lp, batch.targets)
-    loss = masked_nll(position_lp, mask)
+    loss = -ad.tsum(position_lp)
     if method in ("sft_kl", "nsft_kl"):  # KL on the GT caption, the first n samples
-        gt_batch, _ = pack_conversations(params, convs[:n])
+        gt_batch = pack_conversations(params, convs[:n])
         gt_lp = lp if len(convs) == n else ad.gather_rows(lp, np.arange(gt_batch.offsets[-1]))
         kl = sample_kls(gt_batch, gt_lp, batch_logprob_matrix(reference.frozen(), gt_batch))
         loss = ad.add(loss, config.kl_weight * ad.tsum(kl))
@@ -346,15 +346,18 @@ def self_response_records(params, records, max_decode_len=16):
 
 
 def evaluate_model(params, eval_records, initial_model=None, max_decode_len=16):
-    """Held-out metrics: decoded-caption chair_i, mean chosen/rejected
-    sequence log-probs, and per-token KL drift from the initial model.
+    """Held-out metrics: decoded-caption CHAIR, object recall and mean
+    caption length (tokens before <eos>), mean chosen/rejected sequence
+    log-probs, and per-token KL drift from the initial model.
 
-    chair_i is None when no decoded caption names an object: CHAIR
-    rewards saying nothing, so silence is not scored as perfect.
+    CHAIR rewards saying nothing, so silence is not scored as perfect:
+    chair_i is None when no decoded caption names an object, and recall
+    and caption length read 0 there.
     """
+    captions = _decode_records(params, eval_records, max_decode_len)
     evals = [CaptionEval([{t - OBJECT_TOKEN_BASE for t in decoded if t in _OBJECT_TOKEN_RANGE}],
                          rec.scene.object_ids())
-             for rec, decoded in zip(eval_records, _decode_records(params, eval_records, max_decode_len))]
+             for rec, decoded in zip(eval_records, captions)]
     kl_drift = 0.0
     if initial_model is not None:
         kls = []
@@ -367,6 +370,8 @@ def evaluate_model(params, eval_records, initial_model=None, max_decode_len=16):
     return {
         "chair_i": result.chair_i,
         "chair_s": result.chair_s,
+        "object_recall": object_recall(evals),
+        "mean_caption_len": _mean([len(c) - (c[-1] == EOS_ID) for c in captions]),
         "mean_chosen_logprob": mean_c,
         "mean_rejected_logprob": mean_r,
         "kl_drift": kl_drift,

@@ -290,3 +290,29 @@ def test_llava_jsonl_round_trip(tmp_path):
     path = tmp_path / "convs.jsonl"
     write_llava_jsonl([rec], path)
     assert read_llava_jsonl(path) == [rec]
+
+
+# Recorded on the commit before qa_turns_from_clauses stopped calling
+# rng.choice: the same turns, and the generator left in the same state.
+GOLDEN_QA_TURNS = [
+    "how many shoe ? four <eos> | how many shoe ? four <eos> | is there a leaf ? no <eos> | what color is the shoe ? purple <eos>",
+    "is there a tree ? yes <eos> | is there a tree ? yes <eos> | what color is the tree ? purple <eos> | is there a tree ? yes <eos>",
+    "is there a hat ? no <eos> | what color is the box ? purple <eos> | how many box ? four <eos> | is there a box ? yes <eos>",
+    "is there a drum ? no <eos> | how many dog ? one <eos> | is there a dog ? yes <eos> | what color is the dog ? purple <eos>",
+    "what color is the fish ? purple <eos> | how many star ? one <eos> | how many fish ? three <eos> | what color is the star ? brown <eos>",
+    "is there a dog ? no <eos> | is there a fish ? yes <eos> | what color is the bird ? brown <eos> | how many bird ? one <eos>",
+    "is there a cat ? no <eos> | how many car ? four <eos> | is there a bird ? no <eos> | what color is the car ? black <eos>",
+    "how many car ? three <eos> | what color is the car ? black <eos> | is there a key ? yes <eos> | is there a cup ? no <eos>",
+]
+
+
+def test_qa_turns_from_clauses_match_golden():
+    rng = np.random.default_rng(5)
+    got = []
+    for rec in world.make_preference_dataset(4, 11):
+        for clauses in (list(rec.scene.objects), world.parse_caption(rec.rejected)):
+            turns = qa_turns_from_clauses(clauses, rng, 4)
+            got.append(" | ".join(" ".join(world.tokens_to_words(t.question + t.answer))
+                                  for t in turns))
+    assert got == GOLDEN_QA_TURNS
+    assert rng.integers(0, 2**31) == 1244563294

@@ -10,6 +10,7 @@ from prefalign.metrics import (
     ScoreSheet,
     aggregate_scores,
     chair,
+    object_recall,
     read_caption_evals_jsonl,
     read_score_sheet_jsonl,
     write_aggregate_csv,
@@ -32,6 +33,13 @@ def test_chair_dog_frisbee_car_case():
 def test_chair_all_hallucinated():
     result = chair([CaptionEval([{5}, {6, 7}], set())])
     assert (result.chair_i, result.chair_s, result.chair_avg) == (1.0, 1.0, 1.0)
+
+
+def test_object_recall_counts_named_ground_truth_objects():
+    evals = [CaptionEval([{1, 9}, {2}], {1, 2, 3}), CaptionEval([set()], {4})]
+    assert object_recall(evals) == 2 / 4  # objects 1 and 2 named, 3 and 4 missed
+    assert object_recall([CaptionEval([set()], {1, 2})]) == 0.0
+    assert object_recall([CaptionEval([{1}], set())]) is None
 
 
 def test_chair_zero_mentions_reports_absent_i():

@@ -5,7 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import prefalign.autodiff as ad
+from prefalign.autodiff import Tensor, backward, finite_diff, relative_error
 from prefalign.model import (
     batch_logprob_matrix,
     encode_context,
@@ -15,6 +19,7 @@ from prefalign.model import (
     pack,
     load_checkpoint,
     params_hash,
+    prefix_means,
     save_checkpoint,
     token_logprob_matrix,
     token_logprobs,
@@ -201,6 +206,57 @@ def test_batch_logprob_matrix_matches_single_samples():
         want = token_logprob_matrix(params, encode_context(params, latent, q), y).values
         rows = got[batch.offsets[b]:batch.offsets[b + 1]]
         assert np.max(np.abs(rows - want)) <= 1e-12
+
+
+def _check_prefix_means(question_lens, answer_lens, masks, seed):
+    """prefix_means against a per-position loop over the prefix rows, and
+    its adjoint against finite differences."""
+    rng = np.random.default_rng(seed)
+    params = _params(seed=seed % 100, scale=0.5)
+    latents = rng.normal(size=(len(question_lens), K))
+    questions = [[int(t) for t in rng.integers(0, V, size=n)] for n in question_lens]
+    ys = [[int(t) for t in rng.integers(0, V, size=n)] for n in answer_lens]
+    batch = pack(params, latents, questions, ys, masks)
+    want = []
+    for latent, q, y, mask in zip(latents, questions, ys, masks):
+        rows = [latent @ params.img_proj.values] + [params.embed.values[t] for t in q + y[:-1]]
+        want += [np.mean(rows[:1 + len(q) + i], axis=0) for i in range(len(y)) if mask[i]]
+    got = prefix_means(params, batch).values
+    assert got.shape == (len(want), D)
+    assert not want or np.max(np.abs(got - np.array(want))) <= 1e-12
+    weights = Tensor(rng.normal(size=got.shape))
+
+    def loss():
+        return ad.tsum(ad.mul(prefix_means(params, batch), weights))
+
+    tensors = [params.embed, params.img_proj]
+    g = backward(loss(), tensors)
+    g_fd = finite_diff(lambda: loss().item(), tensors)
+    for t in tensors:
+        assert relative_error(g[t], g_fd[t], floor=1e-6) <= 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seqs=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 15)),
+                  min_size=1, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_prefix_means_match_loop_and_finite_diff(seqs, seed):
+    question_lens, answer_lens, bits = zip(*seqs)
+    masks = [[bool(b >> i & 1) for i in range(n)] for n, b in zip(answer_lens, bits)]
+    _check_prefix_means(question_lens, answer_lens, masks, seed)
+
+
+@pytest.mark.parametrize("question_lens,answer_lens,masks", [
+    ((1,), (1,), [[True]]),                            # one position, prefix of two rows
+    ((1, 1, 1), (1, 1, 1), [[True]] * 3),              # every answer has length 1
+    ((3,), (4,), [[True] * 4]),                        # a batch of one
+    ((1, 4, 2), (3, 1, 5), [[True] * 3, [True], [True] * 5]),  # ragged lengths
+    ((2, 1), (3, 4), [[False] * 3, [False, True, False, True]]),  # a sample with no position
+])
+def test_prefix_means_edge_cases(question_lens, answer_lens, masks):
+    _check_prefix_means(question_lens, answer_lens, masks, seed=7)
 
 
 def test_packed_paths_reject_token_ids_outside_vocab():

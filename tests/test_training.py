@@ -7,17 +7,19 @@ import math
 import numpy as np
 import pytest
 
+import prefalign.autodiff as ad
 from prefalign import world
-from prefalign.autodiff import backward, relative_error
+from prefalign.autodiff import Tensor, backward, relative_error
 from prefalign.losses import (
     conversation_sft_loss,
+    conversations_sft_loss,
     dpo_margin,
     dpo_margin_loss,
     nsft_loss,
     per_token_kl,
     sequence_logprob,
 )
-from prefalign.model import greedy_decode_batch, init_params, params_hash
+from prefalign.model import batch_logprob_matrix, greedy_decode_batch, init_params, pack, params_hash
 from prefalign.training import (
     METHODS,
     ExperimentSpec,
@@ -193,6 +195,25 @@ def test_packed_batch_loss_matches_per_sample_graphs(method):
     assert relative_error(stats["lp_r"], lp_r) <= 1e-10
 
 
+def test_pruned_positions_match_masked_full_batch():
+    # nSFT conversations: follow-up questions are prefix only, no position
+    params = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=0)
+    views = build_training_views(RECORDS[:4], _config(method="nsft"))
+    convs = [v.gt_conversation for v in views] + [v.constructed for v in views]
+    pruned = conversations_sft_loss(params, convs)
+    questions, ys, masks = zip(*(c.flatten() for c in convs))
+    full = pack(params, [c.image_latent for c in convs], questions, ys)
+    mask = np.concatenate(masks).astype(np.float64)
+    assert 0 < mask.sum() < mask.size
+    lp = ad.take_along_rows(batch_logprob_matrix(params, full), full.targets)
+    masked = -ad.tsum(ad.mul(lp, Tensor(mask)))
+    assert relative_error(pruned.item(), masked.item()) <= 1e-10
+    g_pruned = backward(pruned, params.tensors())
+    g_masked = backward(masked, params.tensors())
+    for t in params.tensors():
+        assert np.max(np.abs(g_pruned[t] - g_masked[t])) <= 1e-10 * np.max(np.abs(g_masked[t]))
+
+
 def test_zero_steps_leaves_params_and_log_empty():
     init = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=3)
     params, log = train(_config(steps=0), RECORDS, init_model=init)
@@ -290,6 +311,7 @@ def test_silent_model_reports_no_chair_i(tmp_path):
                                [c.question for c in contexts], 16) == [[world.EOS_ID]] * 4
     ev = evaluate_model(params, RECORDS[:4], initial_model=params)
     assert ev["chair_i"] is None and ev["chair_s"] == 0.0
+    assert ev["object_recall"] == 0.0 and ev["mean_caption_len"] == 0.0
     report = compare_methods([], RECORDS, RECORDS[:4], params)
     write_comparison_csv(report, tmp_path / "cmp.csv")
     write_comparison_json(report, tmp_path / "cmp.json")
