@@ -155,6 +155,11 @@ class Batch:
         S @ per-position values sums per sample."""
         return np.repeat(np.eye(len(self.offsets) - 1), np.diff(self.offsets), axis=1)
 
+    def head(self, n):
+        """The first n samples as a `Batch`: views of this one's first rows."""
+        m = self.offsets[n]
+        return Batch(self.w_tok[:m], self.w_img[:m], self.targets[:m], self.offsets[:n + 1])
+
 
 def _token_counts(tokens, lo, hi, vocab_size):
     """(N, V) count of each token id in tokens[lo[i]:hi[i]], from one
@@ -243,16 +248,23 @@ def greedy_decode(params, x, max_len):
 
 
 def greedy_decode_batch(params, latents, questions, max_len):
-    """`greedy_decode` of many (image latent, question) contexts at once."""
-    pack(params, latents, questions, [[0]] * len(questions))  # validates the contexts
-    slots = np.asarray(latents, dtype=np.float64) @ params.img_proj.values
-    counts = [1 + len(q) for q in questions]
-    ctx = np.zeros((len(questions), max(counts), params.dim))
-    for b, q in enumerate(questions):
-        ctx[b, 0] = slots[b]
-        ctx[b, 1:counts[b]] = params.embed.values[list(q)]
-    # zero padding after a shorter context leaves its running sum unchanged
-    return _decode(params, np.cumsum(ctx, axis=1)[:, -1], counts, max_len)
+    """`greedy_decode` of many (image latent, question) contexts at once;
+    no contexts decode to []. Raises ValueError on a latent of the wrong
+    size, an empty question or a token id outside [0, V)."""
+    if len(questions) == len(latents) == 0:
+        return []
+    latents = np.asarray(latents, dtype=np.float64)
+    if latents.shape != (len(questions), params.latent_dim):
+        raise ValueError(f"need one latent of size {params.latent_dim} per question")
+    ids = [t for q in questions for t in q]
+    if not all(questions) or min(ids) < 0 or max(ids) >= params.vocab_size:
+        raise ValueError("questions must be non-empty with ids in [0, V)")
+    # add.at sums each context's question embeddings onto its image slot left
+    # to right, the float order of greedy_decode's cumsum over context rows
+    lengths = [len(q) for q in questions]
+    sums = latents @ params.img_proj.values
+    np.add.at(sums, np.repeat(np.arange(len(questions)), lengths), params.embed.values[ids])
+    return _decode(params, sums, [1 + n for n in lengths], max_len)
 
 
 def _decode(params, sums, counts, max_len):

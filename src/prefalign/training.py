@@ -35,7 +35,7 @@ from .losses import (
 )
 from .metrics import CaptionEval, chair, object_recall
 from .theory import bias_trajectory_report
-from .model import batch_logprob_matrix, greedy_decode_batch, init_params, params_hash
+from .model import batch_logprob_matrix, greedy_decode_batch, init_params, pack, params_hash
 from .world import (
     CAPTION_QUESTION,
     EOS_ID,
@@ -75,7 +75,14 @@ __all__ = [
 
 METHODS = ("cont_sft", "gt_dpo", "nsft", "sft_kl", "nsft_kl")
 
-_CHUNK = 8  # records per packed forward when scoring and decoding; more grows peak RSS
+# Records per packed scoring forward: its (N, V) log-prob rows dominate
+# memory. Over 5 evaluations of 500 records, chunks of 16 and 32 raised peak
+# RSS by 3.3 and 4.7 MB (2.1 MB at 8) and cut scoring time by only 13% and 19%.
+_CHUNK = 8
+# Contexts per decode call; a step holds one row per live context. Decoding
+# 500 records to 16 tokens took 121, 53, 32, 25, 32 ms and raised peak RSS by
+# 0.1, 0.4, 0.5, 1.2, 3.8 MB at 8, 32, 64, 128, 500 (2-core x86, 1 BLAS thread).
+_DECODE_CHUNK = 64
 
 _OBJECT_TOKEN_RANGE = range(OBJECT_TOKEN_BASE, OBJECT_TOKEN_BASE + len(OBJECTS))
 
@@ -138,7 +145,7 @@ def build_training_views(records, config: TrainConfig, reference=None):
     codebook = load_default_codebook()
     views = []
     if config.method == "gt_dpo" and reference is not None:
-        ref_c, ref_r = _score_pairs(reference, records)
+        ref_c, ref_r, _ = _score_pairs(reference, records)
     for r, rec in enumerate(records):
         sample = rec.to_sample()
         gt_conv = Conversation(featurize(rec.scene),
@@ -185,7 +192,7 @@ def batch_loss(params, reference, views, config: TrainConfig):
     position_lp = ad.take_along_rows(lp, batch.targets)
     loss = -ad.tsum(position_lp)
     if method in ("sft_kl", "nsft_kl"):  # KL on the GT caption, the first n samples
-        gt_batch = pack_conversations(params, convs[:n])
+        gt_batch = batch.head(n)
         gt_lp = lp if len(convs) == n else ad.gather_rows(lp, np.arange(gt_batch.offsets[-1]))
         kl = sample_kls(gt_batch, gt_lp, batch_logprob_matrix(reference.frozen(), gt_batch))
         loss = ad.add(loss, config.kl_weight * ad.tsum(kl))
@@ -305,15 +312,15 @@ def pretrain_base(spec):
                            steps=spec.pretrain_steps, batch_size=spec.batch_size)
 
 
-def _chunks(records):
-    for i in range(0, len(records), _CHUNK):
-        yield records[i:i + _CHUNK]
+def _chunks(records, size=_CHUNK):
+    for i in range(0, len(records), size):
+        yield records[i:i + size]
 
 
 def _decode_records(params, records, max_decode_len):
     """Greedy captions of every record's caption context, in packed chunks."""
     out = []
-    for chunk in _chunks(records):
+    for chunk in _chunks(records, _DECODE_CHUNK):
         contexts = [rec.to_sample().context for rec in chunk]
         out += greedy_decode_batch(params, [c.image_latent for c in contexts],
                                    [c.question for c in contexts], max_decode_len)
@@ -354,45 +361,52 @@ def evaluate_model(params, eval_records, initial_model=None, max_decode_len=16):
     chair_i is None when no decoded caption names an object, and recall
     and caption length read 0 there.
     """
+    chosen, rejected, kls = _score_pairs(params, eval_records, initial_model)
     captions = _decode_records(params, eval_records, max_decode_len)
     evals = [CaptionEval([{t - OBJECT_TOKEN_BASE for t in decoded if t in _OBJECT_TOKEN_RANGE}],
                          rec.scene.object_ids())
              for rec, decoded in zip(eval_records, captions)]
-    kl_drift = 0.0
-    if initial_model is not None:
-        kls = []
-        for chunk in _chunks(eval_records):
-            kls += list(per_token_kls(params.frozen(), initial_model, [r.to_sample().context for r in chunk],
-                                      [r.chosen for r in chunk]).values)
-        kl_drift = _mean(kls)
     result = chair(evals)
-    mean_c, mean_r = mean_sequence_logprobs(params, eval_records)
     return {
         "chair_i": result.chair_i,
         "chair_s": result.chair_s,
         "object_recall": object_recall(evals),
         "mean_caption_len": _mean([len(c) - (c[-1] == EOS_ID) for c in captions]),
-        "mean_chosen_logprob": mean_c,
-        "mean_rejected_logprob": mean_r,
-        "kl_drift": kl_drift,
+        "mean_chosen_logprob": _mean(chosen),
+        "mean_rejected_logprob": _mean(rejected),
+        "kl_drift": _mean(kls) if kls else 0.0,
     }
 
 
-def _score_pairs(params, records):
-    """Chosen and rejected sequence log-probs of every record, as two lists."""
-    chosen, rejected = [], []
+def _score_pairs(params, records, initial_model=None):
+    """Chosen and rejected sequence log-probs of every record and, with
+    `initial_model`, each chosen caption's `per_token_kl` from it (else an
+    empty list), as lists. One frozen policy forward per chunk gives all three;
+    the initial model runs on the chosen rows only."""
+    if not records:
+        raise ValueError("need at least one record")
+    policy = params.frozen()
+    chosen, rejected, kls = [], [], []
     for chunk in _chunks(records):
-        samples = [rec.to_sample() for rec in chunk]
-        lp_c, lp_r = pair_logprobs(params.frozen(), [s.context for s in samples],
-                                   [s.chosen for s in samples], [s.rejected for s in samples])
-        chosen += [float(v) for v in lp_c.values]
-        rejected += [float(v) for v in lp_r.values]
-    return chosen, rejected
+        n, samples = len(chunk), [rec.to_sample() for rec in chunk]
+        contexts = [s.context for s in samples] * 2
+        batch = pack(policy, [c.image_latent for c in contexts], [c.question for c in contexts],
+                     [s.chosen for s in samples] + [s.rejected for s in samples])
+        lp = batch_logprob_matrix(policy, batch)
+        position_lp = ad.take_along_rows(lp, batch.targets).values
+        seg = batch.segment_matrix()
+        chosen += [float(v) for v in seg[:n] @ position_lp]
+        rejected += [float(v) for v in seg[n:] @ position_lp]
+        if initial_model is not None:
+            head = batch.head(n)
+            kls += list(sample_kls(head, ad.Tensor(lp.values[:len(head.targets)]),
+                                   batch_logprob_matrix(initial_model.frozen(), head)).values)
+    return chosen, rejected, kls
 
 
 def mean_sequence_logprobs(params, records):
     """Mean chosen/rejected sequence log-probs over preference records."""
-    chosen, rejected = _score_pairs(params, records)
+    chosen, rejected, _ = _score_pairs(params, records)
     return _mean(chosen), _mean(rejected)
 
 

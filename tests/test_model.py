@@ -274,6 +274,18 @@ def test_packed_paths_reject_token_ids_outside_vocab():
             greedy_decode_batch(params, np.zeros((1, K)), [[bad]], 3)
 
 
+def test_greedy_decode_batch_validates_contexts_and_decodes_none_to_empty():
+    params = _params()
+    assert greedy_decode_batch(params, np.zeros((0, K)), [], 3) == []
+    assert greedy_decode_batch(params, [], [], 3) == []
+    for latents, questions in ((np.zeros((2, K)), [[1]]),      # one latent too many
+                               (np.zeros((1, K + 1)), [[1]]),  # latent of the wrong size
+                               (np.zeros(K), [[1]]),           # a latent, not a batch of them
+                               (np.zeros((2, K)), [[1], []])):  # an empty question
+        with pytest.raises(ValueError):
+            greedy_decode_batch(params, latents, questions, 3)
+
+
 def test_greedy_decode_batch_matches_single_decodes():
     params = _params(seed=17, scale=0.5)
     params.out.values[:, params.eos_id] += 1.0  # some captions stop early, one runs to max_len

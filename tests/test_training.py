@@ -19,12 +19,21 @@ from prefalign.losses import (
     per_token_kl,
     sequence_logprob,
 )
-from prefalign.model import batch_logprob_matrix, greedy_decode_batch, init_params, pack, params_hash
+from prefalign.model import (
+    batch_logprob_matrix,
+    encode_context,
+    greedy_decode,
+    greedy_decode_batch,
+    init_params,
+    pack,
+    params_hash,
+)
 from prefalign.training import (
     METHODS,
     ExperimentSpec,
     TrainConfig,
     TrainingDivergedError,
+    _decode_records,
     batch_loss,
     build_training_views,
     compare_methods,
@@ -300,6 +309,55 @@ def test_mean_sequence_logprobs_matches_manual():
                       for x in recs])
     assert c == pytest.approx(want_c, abs=1e-12)
     assert r == pytest.approx(want_r, abs=1e-12)
+
+
+EVAL_RECORDS = world.make_preference_dataset(70, 41)  # more records than one decode chunk
+
+
+def _eval_models():
+    """A dim-16 policy whose captions stop at lengths 1 to 16, and a
+    different initial model."""
+    params = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=17, scale=1.0)
+    params.out.values[:, params.eos_id] += 4.0
+    return params, init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=3)
+
+
+# Recorded from evaluate_model when it decoded in chunks of 8 records and
+# ran the policy twice per chunk, once for the KL and once for the scores.
+GOLDEN_EVALUATE = {
+    "chair_i": 0.8571428571428571,
+    "chair_s": 0.08571428571428572,
+    "object_recall": 0.006993006993006993,
+    "mean_caption_len": 12.414285714285715,
+    "mean_chosen_logprob": -385.14581797321716,
+    "mean_rejected_logprob": -382.4228877761445,
+    "kl_drift": 3.6926864733127833,
+}
+
+
+def test_evaluate_model_matches_golden_bit_for_bit():
+    params, initial = _eval_models()
+    assert evaluate_model(params, EVAL_RECORDS, initial_model=initial) == GOLDEN_EVALUATE
+    captions = _decode_records(params, EVAL_RECORDS, 16)
+    contexts = [rec.to_sample().context for rec in EVAL_RECORDS]
+    x = [encode_context(params, c.image_latent, c.question) for c in contexts]
+    assert captions == [greedy_decode(params, xi, 16) for xi in x]
+    assert len({len(c) for c in captions}) > 2
+
+
+def test_kl_drift_is_mean_per_record_per_token_kl():
+    params, initial = _eval_models()
+    kl_drift = evaluate_model(params, EVAL_RECORDS, initial_model=initial)["kl_drift"]
+    want = np.mean([per_token_kl(params, initial, rec.to_sample().context, rec.chosen).item()
+                    for rec in EVAL_RECORDS])
+    assert kl_drift == pytest.approx(want, rel=1e-12)
+
+
+def test_scoring_no_records_fails_loudly():
+    params, _ = _eval_models()
+    for score in (lambda: evaluate_model(params, []), lambda: mean_sequence_logprobs(params, [])):
+        with pytest.raises(ValueError, match="need at least one record"):
+            score()
 
 
 def test_silent_model_reports_no_chair_i(tmp_path):
