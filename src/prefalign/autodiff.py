@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 The op set is deliberately small: matmul, add, multiply, row gather,
-log-softmax, reductions, sigmoid, log, exp and concat.
+log-softmax, reductions, sigmoid, exp and concat.
 That closed set is enough to express every loss in this package while
 keeping each op's adjoint a few lines of numpy. An op computes no
 adjoint for a constant parent.
@@ -25,7 +25,6 @@ __all__ = [
     "tsum",
     "sigmoid",
     "log_sigmoid",
-    "tlog",
     "texp",
     "concat_rows",
 ]
@@ -242,16 +241,6 @@ def log_sigmoid(t):
         return (g * (1.0 - sig),)
 
     return _node(out, (t,), bwd)
-
-
-def tlog(t):
-    t = _wrap(t)
-    v = t.values
-
-    def bwd(g):
-        return (g / v,)
-
-    return _node(np.log(v), (t,), bwd)
 
 
 def texp(t):

@@ -18,9 +18,8 @@ from .constructor import (
     construct_conversation,
     conversation_to_llava_record,
     load_default_codebook,
-    write_llava_jsonl,
 )
-from .data import Conversation, Turn
+from .data import Conversation, Turn, write_jsonl
 from .model import load_checkpoint, save_checkpoint
 
 
@@ -131,7 +130,7 @@ def _cmd_construct(args):
                                                             f"seed://{rec.seed}"))
             out_records.append(conversation_to_llava_record(constructed, f"scene-{rec.seed}/constructed",
                                                             f"seed://{rec.seed}"))
-    write_llava_jsonl(out_records, args.out)
+    write_jsonl(out_records, args.out)
     print(f"wrote {len(out_records)} conversations to {args.out}")
     return 0
 
@@ -141,12 +140,10 @@ def _load_train_config(args):
     if args.config:
         with open(args.config) as fh:
             overrides.update(json.load(fh))
-    for key in ("method", "steps", "seed", "beta"):
+    for key in ("method", "steps", "seed", "beta", "kl_weight"):
         v = getattr(args, key, None)
         if v is not None:
             overrides[key] = v
-    if args.kl_weight is not None:
-        overrides["kl_weight"] = args.kl_weight
     if "yes_no_band" in overrides:
         overrides["yes_no_band"] = tuple(overrides["yes_no_band"])
     return training.TrainConfig(**overrides)

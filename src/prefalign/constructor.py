@@ -1,10 +1,8 @@
 """Negative-supervision construction: error identification against the
 vision error codebook plus corrective-conversation building.
 
-Two oracle routes exist: a deterministic rule-based oracle for the
-synthetic world (exact by construction) and an external LLM client for
-real data (see llm_client). Everything downstream of the oracle is
-deterministic.
+The rule-based oracle is exact by construction on the synthetic world,
+and everything downstream of it is deterministic.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from importlib import resources
 import numpy as np
 
 from . import world
-from .data import Conversation, Turn, read_jsonl, write_jsonl
+from .data import Conversation, Turn
 from .world import (
     CAT_COLOR,
     CAT_COUNT,
@@ -45,10 +43,7 @@ __all__ = [
     "balance_yes_no",
     "assemble_nsft_sample",
     "load_default_codebook",
-    "load_prompt_template",
     "conversation_to_llava_record",
-    "write_llava_jsonl",
-    "read_llava_jsonl",
 ]
 
 _YES = TOKEN_TO_ID["yes"]
@@ -88,10 +83,6 @@ class ErrorCodebook:
 def load_default_codebook():
     text = resources.files("prefalign.assets").joinpath("codebook.json").read_text()
     return ErrorCodebook.from_dict(json.loads(text))
-
-
-def load_prompt_template():
-    return resources.files("prefalign.assets").joinpath("prompt_template.txt").read_text()
 
 
 @dataclass
@@ -325,11 +316,3 @@ def conversation_to_llava_record(conversation, record_id, image_ref):
         convs.append({"from": "human", "value": " ".join(world.tokens_to_words(turn.question))})
         convs.append({"from": "gpt", "value": " ".join(world.tokens_to_words(turn.answer))})
     return {"id": record_id, "image_ref": image_ref, "conversations": convs}
-
-
-def write_llava_jsonl(records, path):
-    write_jsonl(records, path)
-
-
-def read_llava_jsonl(path):
-    return read_jsonl(path)

@@ -109,7 +109,16 @@ def init_params(vocab_size, dim, latent_dim, n_blocks=2, seed=0, scale=0.1, requ
 
 
 def encode_context(params, image_latent, question):
-    """Prefix embeddings: one projected image slot, then question tokens."""
+    """Prefix embeddings: one projected image slot, then question tokens.
+
+    With `token_logprob_matrix` and `greedy_decode` this is the
+    single-sample path, the independent oracle for the packed one (`pack`,
+    `greedy_decode_batch`). tests/test_model.py's
+    test_batch_logprob_matrix_matches_single_samples and
+    test_greedy_decode_batch_matches_single_decodes, and the eval_decode
+    decode check in perfbench/workloads.py, rest on it. Do not fold it
+    into `pack`: an oracle that runs the code it checks cannot catch its faults.
+    """
     latent = np.asarray(image_latent, dtype=np.float64)
     if latent.shape != (params.latent_dim,):
         raise ValueError(f"latent dim {latent.shape} != ({params.latent_dim},)")
@@ -220,7 +229,9 @@ def batch_logprob_matrix(params, batch):
 
 
 def token_logprob_matrix(params, x, y):
-    """(L, V) log-probabilities: row i is log pi(. | y_<i, x)."""
+    """(L, V) log-probabilities: row i is log pi(. | y_<i, x).
+
+    Single-sample oracle for the packed path; see `encode_context`."""
     y = list(y)
     if not y:
         raise ValueError("y must be non-empty")
@@ -242,7 +253,10 @@ def token_logprobs(params, x, y):
 def greedy_decode(params, x, max_len):
     """Deterministic argmax decoding; stops at eos or max_len.
 
-    Ties break toward the lowest token id (argmax convention).
+    Ties break toward the lowest token id (argmax convention). Single-sample
+    oracle for `greedy_decode_batch` (see `encode_context`); the two share
+    only `_decode`, whose tokens the tests check against the argmax of
+    `token_logprob_matrix`.
     """
     return _decode(params, np.cumsum(x.values, axis=0)[-1:], [x.values.shape[0]], max_len)[0]
 

@@ -436,6 +436,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if not 1 <= self.object_pool_size <= len(OBJECTS):
             raise ValueError("object_pool_size out of range")
+        lows = dict(train_n=1, eval_n=1, pretrain_n=1, steps=1, batch_size=1,
+                    max_decode_len=1, pretrain_steps=0)
+        for name, low in lows.items():
+            if (value := getattr(self, name)) < low:
+                raise ValueError(f"ExperimentSpec.{name} must be >= {low}, got {value}")
 
 
 def default_experiment_configs(spec: ExperimentSpec):

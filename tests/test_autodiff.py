@@ -107,8 +107,6 @@ def test_exp_and_log_adjoints():
     w = Tensor([0.5, 1.5], requires_grad=True)
     g_exp = backward(ad.tsum(ad.texp(w)), [w])[w]
     assert np.allclose(g_exp, np.exp(w.values), rtol=0, atol=1e-15)
-    g_log = backward(ad.tsum(ad.tlog(w)), [w])[w]
-    assert np.allclose(g_log, 1.0 / w.values, rtol=0, atol=1e-15)
 
 
 def test_concat_rows_routes_gradients():

@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from prefalign import training
 from prefalign.cli import dispatch
 
 
@@ -129,6 +130,25 @@ def test_experiment_smoke_and_reproducible(tmp_path):
     assert blobs[0] == blobs[1]
     report = json.loads(blobs[0])
     assert set(report["methods"]) == {"cont_sft", "gt_dpo", "nsft", "sft_kl"}
+
+
+@pytest.mark.parametrize("field, bad, flag", [
+    ("train_n", 0, "--train-n"), ("eval_n", 0, "--eval-n"), ("pretrain_n", 0, "--pretrain-n"),
+    ("steps", 0, "--steps"), ("pretrain_steps", -5, "--pretrain-steps"),
+    ("batch_size", 0, None), ("max_decode_len", 0, None),
+])
+def test_experiment_bad_size_fails_before_pretraining(tmp_path, monkeypatch, field, bad, flag):
+    with pytest.raises(ValueError, match=f"ExperimentSpec.{field} must be"):
+        training.ExperimentSpec(**{field: bad})
+    if flag is None:  # not exposed on the command line
+        return
+    pretrained = []
+    monkeypatch.setattr(training, "make_base_model", lambda *a, **k: pretrained.append(1))
+    code, _, err = _run(["experiment", flag, str(bad), "--out", str(tmp_path / "e.json")])
+    assert code == 1
+    assert json.loads(err.strip())["message"].startswith(f"ExperimentSpec.{field} must be")
+    assert pretrained == []
+    assert not (tmp_path / "e.json").exists()
 
 
 def test_experiment_base_checkpoint_round_trip(tmp_path):

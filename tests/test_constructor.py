@@ -17,10 +17,8 @@ from prefalign.constructor import (
     load_default_codebook,
     ocrvqa_pairs,
     qa_turns_from_clauses,
-    read_llava_jsonl,
-    write_llava_jsonl,
 )
-from prefalign.data import Conversation, Turn
+from prefalign.data import Conversation, Turn, read_jsonl, write_jsonl
 from prefalign.losses import conversation_sft_loss, nsft_loss
 from prefalign.model import init_params
 from prefalign.world import (
@@ -288,8 +286,8 @@ def test_llava_jsonl_round_trip(tmp_path):
     rec = conversation_to_llava_record(conv, "scene-9", "seed://9")
     assert [c["from"] for c in rec["conversations"]] == ["human", "gpt"] * 2
     path = tmp_path / "convs.jsonl"
-    write_llava_jsonl([rec], path)
-    assert read_llava_jsonl(path) == [rec]
+    write_jsonl([rec], path)
+    assert read_jsonl(path) == [rec]
 
 
 # Recorded on the commit before qa_turns_from_clauses stopped calling
