@@ -154,8 +154,9 @@ def matmul(a, b):
     av, bv = a.values, b.values
 
     def bwd(g):
-        ga = (np.outer(g, bv) if bv.ndim == 1 else g @ bv.T) if a.requires_grad else None
-        gb = (np.outer(av, g) if av.ndim == 1 else av.T @ g) if b.requires_grad else None
+        # multiply.outer keeps a 1-D operand's shape when g is 0-d ((d,) @ (d,))
+        ga = (np.multiply.outer(g, bv) if bv.ndim == 1 else g @ bv.T) if a.requires_grad else None
+        gb = (np.multiply.outer(av, g) if av.ndim == 1 else av.T @ g) if b.requires_grad else None
         return ga, gb
 
     return _node(av @ bv, (a, b), bwd)

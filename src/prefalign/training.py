@@ -277,8 +277,12 @@ def make_base_model(records, dim=64, n_blocks=2, steps=8000, batch_size=16):
     and that choice drives captions and QA answers alike, so the base
     model's mistakes are consistent wrong beliefs rather than surface
     noise. `_QA_FRAC` of items are short multi-turn QA conversations,
-    which keeps corrective QA turns in-distribution later.
+    which keeps corrective QA turns in-distribution later. Raises
+    ValueError on `steps` < 0, `batch_size` < 1 or no records.
     """
+    if steps < 0 or batch_size < 1 or not records:
+        raise ValueError(f"need steps >= 0, batch_size >= 1 and records, got steps={steps}, "
+                         f"batch_size={batch_size}, {len(records)} records")
     params = init_params(VOCAB_SIZE, dim, latent_dim(), n_blocks=n_blocks, seed=_PRETRAIN_SEED)
     rng = np.random.default_rng(_PRETRAIN_SEED)
     tensors = params.tensors()

@@ -57,10 +57,13 @@ def test_reference_model_contributes_constants_only():
 
 
 def test_gradient_decomposition_and_finite_differences():
+    start = time.perf_counter()
     ok1, d1 = checks.check_gradient_decomposition(seeds=100, tol=1e-6)
     ok2, d2 = checks.check_losses_vs_finite_diff(seeds=100, tol=1e-5)
+    elapsed = time.perf_counter() - start
     _criterion("preference gradient decomposes into scaled SFT gradients; "
-               "all losses match finite differences", ok1 and ok2, f"{d1}; {d2}")
+               "all losses match finite differences", ok1 and ok2 and elapsed < 10.0,
+               f"{d1}; {d2}; {elapsed:.2f}s")
 
 
 def test_update_rate_ratio_closed_form():

@@ -3,6 +3,8 @@ their mutual agreement."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prefalign.autodiff as ad
 from prefalign.autodiff import Tensor, backward, finite_diff, relative_error
@@ -139,3 +141,52 @@ def test_sigmoid_and_log_sigmoid_values_unchanged_bitwise():
     assert np.array_equal(ad.log_sigmoid(Tensor(v)).values, np.minimum(v, 0.0) - np.log1p(e))
     t = Tensor(v, requires_grad=True)
     assert np.array_equal(backward(ad.tsum(ad.log_sigmoid(t)), [t])[t], 1.0 - three_exp)
+
+
+# operand shapes (from n, d) at the broadcasting and 1-D edges of each op
+_ELEMENTWISE_SHAPES = [
+    lambda n, d: ((), ()),
+    lambda n, d: ((), (n, d)),
+    lambda n, d: ((n, d), ()),
+    lambda n, d: ((1, d), (n, d)),
+    lambda n, d: ((n, d), (1, d)),
+    lambda n, d: ((d,), (n, d)),
+    lambda n, d: ((n, d), (d,)),
+]
+_MATMUL_SHAPES = [
+    lambda n, d: ((d,), (d,)),
+    lambda n, d: ((d,), (d, n)),
+    lambda n, d: ((n, d), (d,)),
+    lambda n, d: ((n, d), (d, n + 1)),
+]
+
+
+def _assert_adjoint_matches_finite_diff(op, shapes, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes)
+    weights = Tensor(rng.normal(size=op(a, b).shape))
+
+    def loss():
+        return ad.tsum(ad.mul(op(a, b), weights))
+
+    g = backward(loss(), [a, b])
+    g_fd = finite_diff(lambda: loss().item(), [a, b])
+    for t in (a, b):
+        assert np.shape(g[t]) == t.shape
+        # each op is linear in every single coordinate, so the central
+        # difference is exact up to roundoff
+        assert np.allclose(g[t], g_fd[t], rtol=1e-7, atol=1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=st.sampled_from([ad.add, ad.mul]), shapes=st.sampled_from(_ELEMENTWISE_SHAPES),
+       n=st.integers(1, 4), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_elementwise_adjoints_match_finite_diff(op, shapes, n, d, seed):
+    _assert_adjoint_matches_finite_diff(op, shapes(n, d), seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes=st.sampled_from(_MATMUL_SHAPES), n=st.integers(1, 4), d=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_matmul_adjoint_matches_finite_diff(shapes, n, d, seed):
+    _assert_adjoint_matches_finite_diff(ad.matmul, shapes(n, d), seed)

@@ -45,6 +45,14 @@ def test_check_theory_smoke():
     assert all(line.startswith("PASS") for line in lines)
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_check_theory_rejects_non_positive_seeds(seeds):
+    code, out, err = _run(["check-theory", "--seeds", seeds])
+    assert code == 1
+    assert "PASS" not in out
+    assert json.loads(err.strip())["error"] == "ValueError"
+
+
 def _gen_world(tmp_path, name, n=8, seed=3):
     path = tmp_path / name
     code, _, err = _run(["gen-world", "--n", str(n), "--seed", str(seed),
@@ -115,6 +123,17 @@ def test_compare_smoke_and_reproducible(tmp_path):
         blobs.append(tuple((prefix.parent / (prefix.name + ext)).read_bytes()
                            for ext in (".csv", ".json", ".bias.csv", ".bias.json")))
     assert blobs[0] == blobs[1]
+
+
+def test_compare_rejects_negative_pretrain_steps(tmp_path):
+    data = _gen_world(tmp_path, "data.jsonl")
+    prefix = tmp_path / "cmp"
+    code, _, err = _run(["compare", "--data", str(data), "--methods", "cont_sft",
+                         "--steps", "2", "--dim", "16", "--eval-n", "2",
+                         "--pretrain-steps", "-5", "--out-prefix", str(prefix)])
+    assert code == 1
+    assert json.loads(err.strip())["error"] == "ValueError"
+    assert not (tmp_path / "cmp.csv").exists()
 
 
 def test_experiment_smoke_and_reproducible(tmp_path):

@@ -1,5 +1,5 @@
 """Update-rate-ratio analysis: closed forms, finite differences, and the
-trajectory report."""
+trajectory report; the stacked finite-difference oracle of the loss checks."""
 
 import csv
 import json
@@ -8,7 +8,10 @@ import math
 import numpy as np
 import pytest
 
+from prefalign.autodiff import finite_diff
+from prefalign.checks import stacked_finite_diff, stacked_losses, tiny_instance
 from prefalign.data import StepRecord, TrajectoryLog
+from prefalign.losses import DpoConfig, dpo_loss, per_token_kl, sft_loss
 from prefalign.theory import (
     RatioPoint,
     bias_trajectory_report,
@@ -130,3 +133,45 @@ def test_trajectory_writers_round_trip(tmp_path):
     assert float(rows[1][3]) == pytest.approx(0.5)
     summary = json.loads(json_path.read_text())
     assert summary["fraction_ratio_below_1"] == 1.0
+
+
+def _loss_fns(policy, reference, sample, beta):
+    """sft, dpo and kl of `sample` as zero-argument float callables."""
+    cfg = DpoConfig(beta=beta, reference=reference)
+    return (lambda: sft_loss(policy, sample.context, sample.chosen).item(),
+            lambda: dpo_loss(policy, cfg, sample).item(),
+            lambda: per_token_kl(policy, reference, sample.context, sample.chosen).item())
+
+
+def _single_losses(policy, reference, sample, beta):
+    return [f() for f in _loss_fns(policy, reference, sample, beta)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_losses_rows_equal_single_sample_losses(seed):
+    policy, reference, sample = tiny_instance(seed)
+    other, _, _ = tiny_instance(seed + 50)
+    stacked = policy.frozen()
+    for t, a, b in zip(stacked.tensors(), policy.tensors(), other.tensors()):
+        t.values = np.stack([a.values, b.values])
+    losses = stacked_losses(reference, sample, 0.2)
+    rows, unstacked = losses(stacked), losses(policy.frozen())
+    for r, params in enumerate((policy, other)):
+        for got, want in zip(rows, _single_losses(params, reference, sample, 0.2)):
+            assert abs(got[r] - want) <= 1e-12 * abs(want)
+    for got, want in zip(unstacked, _single_losses(policy, reference, sample, 0.2)):
+        assert np.shape(got) == () and abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_finite_diff_equals_coordinatewise_oracle(seed):
+    policy, reference, sample = tiny_instance(seed)
+    before = [t.values.copy() for t in policy.tensors() + reference.tensors()]
+    stacked = stacked_finite_diff(policy, reference, sample, 0.2, eps=1e-4)
+    for f, grads in zip(_loss_fns(policy, reference, sample, 0.2), stacked):
+        g_fd = finite_diff(f, policy.tensors(), eps=1e-4)
+        for t in policy.tensors():
+            assert grads[t].shape == t.shape
+            assert np.max(np.abs(grads[t] - g_fd[t])) <= 1e-10
+    after = [t.values for t in policy.tensors() + reference.tensors()]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))

@@ -282,6 +282,16 @@ def test_make_base_model_deterministic():
     assert params_hash(a) == params_hash(b)
 
 
+@pytest.mark.parametrize("records, kwargs", [
+    (RECORDS, {"steps": -5}),
+    (RECORDS, {"batch_size": 0}),
+    ([], {"steps": 0}),
+])
+def test_make_base_model_rejects_bad_arguments(records, kwargs):
+    with pytest.raises(ValueError):
+        make_base_model(records, dim=16, **kwargs)
+
+
 def test_self_response_records_contract():
     base = make_base_model(world.make_preference_dataset(6, 7), dim=16, steps=3)
     out = self_response_records(base, RECORDS)
