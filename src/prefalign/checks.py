@@ -2,7 +2,9 @@
 
 Each check returns (name, passed, detail). The CLI's check-theory
 subcommand and the acceptance tests both run these, so a tolerance
-lives in exactly one place.
+lives in exactly one place. A running worst error is taken with
+numpy's maximum, which keeps a NaN where the builtin `max` drops it, so
+a NaN error fails its check.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def check_logit_sft_identity(seeds=200, tol=1e-10):
         p = dpo_logit_noref(policy, sample).item()
         l_c = sft_loss(policy, sample.context, sample.chosen).item()
         l_r = sft_loss(policy, sample.context, sample.rejected).item()
-        worst = max(worst, abs(p + (l_c - l_r)))
+        worst = np.maximum(worst, abs(p + (l_c - l_r)))
     return worst <= tol, f"max |p'_dpo + dL_sft| = {worst:.3e} (tol {tol:g})"
 
 
@@ -71,7 +73,7 @@ def check_frozen_reference_gradients(seeds=100, tol=1e-10):
         g_ref = backward(dpo_logit(policy, cfg, sample), policy.tensors())
         g_noref = backward(dpo_logit_noref(policy, sample), policy.tensors())
         for t in policy.tensors():
-            worst = max(worst, float(np.max(np.abs(g_ref[t] - g_noref[t]))))
+            worst = np.maximum(worst, np.max(np.abs(g_ref[t] - g_noref[t])))
     return worst <= tol, f"max |grad diff| = {worst:.3e} (tol {tol:g})"
 
 
@@ -88,7 +90,7 @@ def check_gradient_decomposition(seeds=100, tol=1e-6):
         g_c = backward(sft_loss(policy, sample.context, sample.chosen), policy.tensors())
         g_r = backward(sft_loss(policy, sample.context, sample.rejected), policy.tensors())
         for t in policy.tensors():
-            worst = max(worst, relative_error(g_dpo[t], scale * (g_c[t] - g_r[t])))
+            worst = np.maximum(worst, relative_error(g_dpo[t], scale * (g_c[t] - g_r[t])))
     return worst <= tol, f"max componentwise rel err = {worst:.3e} (tol {tol:g})"
 
 
@@ -180,7 +182,7 @@ def check_losses_vs_finite_diff(seeds=100, tol=1e-5, eps=1e-4):
             g_b = backward(loss, tensors)
             for t in tensors:
                 # floor=1e-6: below that the FD oracle's roundoff dominates
-                worst = max(worst, relative_error(g_b[t], g_fd[t], floor=1e-6))
+                worst = np.maximum(worst, relative_error(g_b[t], g_fd[t], floor=1e-6))
     return worst <= tol, f"max rel err vs finite differences = {worst:.3e} (tol {tol:g})"
 
 
@@ -192,7 +194,7 @@ def check_update_rate_ratio(points=1000, tol=1e-10, seed=0):
     for i in range(points):
         pt = RatioPoint(float(rng.uniform(0.05, 20.0)), float(rng.uniform(0.05, 20.0)),
                         betas[i % len(betas)])
-        worst = max(worst, abs(update_rate_ratio(pt) - pt.t2 / pt.t1))
+        worst = np.maximum(worst, abs(update_rate_ratio(pt) - pt.t2 / pt.t1))
     return worst <= tol, f"max |ratio - t2/t1| = {worst:.3e} (tol {tol:g})"
 
 
@@ -208,7 +210,7 @@ def check_partials_vs_finite_diff(points=200, tol=1e-7, seed=1):
                - dpo_loss_t(RatioPoint(pt.t1 - h, pt.t2, pt.beta))) / (2 * h)
         fd2 = (dpo_loss_t(RatioPoint(pt.t1, pt.t2 + h, pt.beta))
                - dpo_loss_t(RatioPoint(pt.t1, pt.t2 - h, pt.beta))) / (2 * h)
-        worst = max(worst, relative_error(d1, fd1), relative_error(d2, fd2))
+        worst = np.maximum(worst, np.maximum(relative_error(d1, fd1), relative_error(d2, fd2)))
     return worst <= tol, f"max rel err of partials = {worst:.3e} (tol {tol:g})"
 
 
@@ -239,7 +241,7 @@ def check_softmax_row_gradient(seeds=50, tol=1e-12):
         targets = [int(t) for t in rng.integers(0, _V, size=4)]
         loss = -ad.tsum(ad.take_along_rows(ad.log_softmax(logits), targets))
         g = backward(loss, [logits])[logits]
-        worst = max(worst, float(np.max(np.abs(g.sum(axis=1)))))
+        worst = np.maximum(worst, np.max(np.abs(g.sum(axis=1))))
     return worst <= tol, f"max |row grad sum| = {worst:.3e} (tol {tol:g})"
 
 
@@ -253,7 +255,7 @@ def check_implicit_reward_identity(seeds=100, tol=1e-10):
         r_r = implicit_reward(policy, cfg, sample.context, sample.rejected).item()
         p = dpo_logit(policy, cfg, sample).item()
         sigma = 1.0 / (1.0 + math.exp(-cfg.beta * p))
-        worst = max(worst, abs(bt_probability(r_c, r_r) - sigma))
+        worst = np.maximum(worst, abs(bt_probability(r_c, r_r) - sigma))
     return worst <= tol, f"max |BT - sigma(beta p)| = {worst:.3e} (tol {tol:g})"
 
 

@@ -19,8 +19,12 @@ from .constructor import (
     conversation_to_llava_record,
     load_default_codebook,
 )
-from .data import Conversation, Turn, write_jsonl
+from .data import write_jsonl
 from .model import load_checkpoint, save_checkpoint
+
+# ExperimentSpec fields exposed as `experiment` flags, at the spec's defaults
+_EXPERIMENT_FLAGS = ("seed", "train_n", "steps", "dim", "object_pool_size", "eval_n",
+                     "eval_seed", "pretrain_n", "pretrain_steps")
 
 
 def _build_parser():
@@ -68,15 +72,9 @@ def _build_parser():
     p.add_argument("--out-prefix", required=True)
 
     p = sub.add_parser("experiment", help="full continual-alignment comparison")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-n", type=int, default=500)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--object-pool-size", type=int, default=12)
-    p.add_argument("--eval-n", type=int, default=1000)
-    p.add_argument("--eval-seed", type=int, default=31337)
-    p.add_argument("--pretrain-n", type=int, default=2000)
-    p.add_argument("--pretrain-steps", type=int, default=8000)
+    spec = training.ExperimentSpec()
+    for name in _EXPERIMENT_FLAGS:
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(spec, name))
     p.add_argument("--base-ckpt", help="existing base checkpoint; skips pretraining")
     p.add_argument("--save-base", help="write the pretrained base checkpoint here")
     p.add_argument("--out", required=True, help="experiment report JSON")
@@ -117,9 +115,7 @@ def _cmd_construct(args):
         errors = oracle.identify(rec.rejected, rec.chosen, codebook)
         conv = construct_conversation(errors, rec.chosen, rec.scene, k=args.k)
         conv = balance_yes_no(conv, args.balance_low, args.balance_high, seed=args.seed + rec.seed)
-        gt = Conversation(world.featurize(rec.scene),
-                          [Turn(list(world.CAPTION_QUESTION), list(rec.chosen))],
-                          provenance="gt")
+        gt = rec.to_sample().caption_conversation(rec.chosen)
         assembled = assemble_nsft_sample(gt, conv, args.mode)
         if args.mode == "append":
             out_records.append(conversation_to_llava_record(assembled, f"scene-{rec.seed}",
@@ -180,12 +176,7 @@ def _cmd_compare(args):
 
 
 def _cmd_experiment(args):
-    spec = training.ExperimentSpec(
-        seed=args.seed, train_n=args.train_n, steps=args.steps, dim=args.dim,
-        object_pool_size=args.object_pool_size, eval_n=args.eval_n,
-        eval_seed=args.eval_seed, pretrain_n=args.pretrain_n,
-        pretrain_steps=args.pretrain_steps,
-    )
+    spec = training.ExperimentSpec(**{name: getattr(args, name) for name in _EXPERIMENT_FLAGS})
     if args.base_ckpt:
         base = load_checkpoint(args.base_ckpt)
     else:

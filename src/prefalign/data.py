@@ -78,6 +78,11 @@ class PreferenceSample:
         if not self.chosen or not self.rejected:
             raise ValueError("chosen and rejected must be non-empty")
 
+    def caption_conversation(self, caption):
+        """One GT turn: this sample's question answered by `caption`."""
+        ctx = self.context
+        return Conversation(ctx.image_latent, [Turn(list(ctx.question), list(caption))])
+
 
 @dataclass
 class Turn:

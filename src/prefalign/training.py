@@ -21,7 +21,7 @@ from .constructor import (
     load_default_codebook,
     qa_turns_from_clauses,
 )
-from .data import Conversation, StepRecord, TrajectoryLog, Turn, write_csv, write_json
+from .data import Conversation, StepRecord, TrajectoryLog, write_csv, write_json
 from .losses import (
     conversations_sft_loss,
     dpo_margin,
@@ -37,14 +37,12 @@ from .metrics import CaptionEval, chair, object_recall
 from .theory import bias_trajectory_report
 from .model import batch_logprob_matrix, greedy_decode_batch, init_params, pack, params_hash
 from .world import (
-    CAPTION_QUESTION,
     EOS_ID,
     OBJECT_TOKEN_BASE,
     OBJECTS,
     VOCAB_SIZE,
     PreferenceRecord,
     diff_captions,
-    featurize,
     latent_dim,
     make_preference_dataset,
     parse_caption,
@@ -138,26 +136,27 @@ def build_training_views(records, config: TrainConfig, reference=None):
     """Precompute per-record training material.
 
     nSFT methods get a rule-based constructed conversation (yes/no
-    balanced); DPO gets frozen-reference sequence log-probs.
+    balanced); DPO gets frozen-reference sequence log-probs, so gt_dpo
+    needs `reference` (ValueError without it).
     """
+    dpo = config.method == "gt_dpo"
+    if dpo and reference is None:
+        raise ValueError("gt_dpo training views need a reference model")
     needs_construct = config.method in ("nsft", "nsft_kl")
     oracle = RuleBasedOracle()
     codebook = load_default_codebook()
+    samples = [rec.to_sample() for rec in records]
+    if dpo:
+        ref_c, ref_r, _ = _score_pairs(reference, samples)
     views = []
-    if config.method == "gt_dpo" and reference is not None:
-        ref_c, ref_r, _ = _score_pairs(reference, records)
-    for r, rec in enumerate(records):
-        sample = rec.to_sample()
-        gt_conv = Conversation(featurize(rec.scene),
-                               [Turn(list(CAPTION_QUESTION), list(rec.chosen))],
-                               provenance="gt")
-        view = _SampleView(sample=sample, gt_conversation=gt_conv)
+    for r, (rec, sample) in enumerate(zip(records, samples)):
+        view = _SampleView(sample, sample.caption_conversation(sample.chosen))
         if needs_construct:
             errors = oracle.identify(rec.rejected, rec.chosen, codebook)
             conv = construct_conversation(errors, rec.chosen, rec.scene, k=config.construct_k)
             lo, hi = config.yes_no_band
             view.constructed = balance_yes_no(conv, lo, hi, seed=rec.seed)
-        if config.method == "gt_dpo" and reference is not None:
+        if dpo:
             view.ref_logprob_chosen, view.ref_logprob_rejected = ref_c[r], ref_r[r]
         views.append(view)
     return views
@@ -286,25 +285,22 @@ def make_base_model(records, dim=64, n_blocks=2, steps=8000, batch_size=16):
     params = init_params(VOCAB_SIZE, dim, latent_dim(), n_blocks=n_blocks, seed=_PRETRAIN_SEED)
     rng = np.random.default_rng(_PRETRAIN_SEED)
     tensors = params.tensors()
-    noisy_clauses = [parse_caption(rec.rejected) for rec in records]
-    clean_clauses = [list(rec.scene.objects) for rec in records]
-    latents = [featurize(rec.scene) for rec in records]
+    # per record, index 0 is the clean belief and index 1 the noisy one
+    clauses = [(list(rec.scene.objects), parse_caption(rec.rejected)) for rec in records]
+    captions = [(s.caption_conversation(s.chosen), s.caption_conversation(s.rejected))
+                for s in map(PreferenceRecord.to_sample, records)]
     for step in range(steps):
         step_lr = cosine_lr(step, steps, _PRETRAIN_LR)
         idx = rng.integers(0, len(records), size=batch_size)
         convs = []
         for i in idx:
             i = int(i)
-            rec, lat = records[i], latents[i]
-            noisy = rng.random() < _NOISY_FRAC
-            clauses = noisy_clauses[i] if noisy else clean_clauses[i]
+            noisy = int(rng.random() < _NOISY_FRAC)
             if rng.random() < _QA_FRAC:
-                turns = qa_turns_from_clauses(clauses, rng, int(rng.integers(2, 5)))
-                conv = Conversation(lat, turns)
+                turns = qa_turns_from_clauses(clauses[i][noisy], rng, int(rng.integers(2, 5)))
+                convs.append(Conversation(captions[i][0].image_latent, turns))
             else:
-                y = rec.rejected if noisy else rec.chosen
-                conv = Conversation(lat, [Turn(list(CAPTION_QUESTION), list(y))])
-            convs.append(conv)
+                convs.append(captions[i][noisy])
         _sgd_step(tensors, conversations_sft_loss(params, convs) / batch_size, step_lr, step)
     return params
 
@@ -316,18 +312,17 @@ def pretrain_base(spec):
                            steps=spec.pretrain_steps, batch_size=spec.batch_size)
 
 
-def _chunks(records, size=_CHUNK):
-    for i in range(0, len(records), size):
-        yield records[i:i + size]
+def _chunks(items, size=_CHUNK):
+    for i in range(0, len(items), size):
+        yield items[i:i + size]
 
 
-def _decode_records(params, records, max_decode_len):
-    """Greedy captions of every record's caption context, in packed chunks."""
+def _decode_records(params, samples, max_decode_len):
+    """Greedy captions of the records' sample contexts, in packed chunks."""
     out = []
-    for chunk in _chunks(records, _DECODE_CHUNK):
-        contexts = [rec.to_sample().context for rec in chunk]
-        out += greedy_decode_batch(params, [c.image_latent for c in contexts],
-                                   [c.question for c in contexts], max_decode_len)
+    for chunk in _chunks(samples, _DECODE_CHUNK):
+        out += greedy_decode_batch(params, [s.context.image_latent for s in chunk],
+                                   [s.context.question for s in chunk], max_decode_len)
     return out
 
 
@@ -339,8 +334,9 @@ def self_response_records(params, records, max_decode_len=16):
     twice (the caption-diff oracle needs unique objects); otherwise the
     original record is kept as a fallback.
     """
+    samples = [rec.to_sample() for rec in records]
     out = []
-    for rec, decoded in zip(records, _decode_records(params, records, max_decode_len)):
+    for rec, decoded in zip(records, _decode_records(params, samples, max_decode_len)):
         usable = False
         if decoded != rec.chosen:
             try:
@@ -365,8 +361,9 @@ def evaluate_model(params, eval_records, initial_model=None, max_decode_len=16):
     chair_i is None when no decoded caption names an object, and recall
     and caption length read 0 there.
     """
-    chosen, rejected, kls = _score_pairs(params, eval_records, initial_model)
-    captions = _decode_records(params, eval_records, max_decode_len)
+    samples = [rec.to_sample() for rec in eval_records]
+    chosen, rejected, kls = _score_pairs(params, samples, initial_model)
+    captions = _decode_records(params, samples, max_decode_len)
     evals = [CaptionEval([{t - OBJECT_TOKEN_BASE for t in decoded if t in _OBJECT_TOKEN_RANGE}],
                          rec.scene.object_ids())
              for rec, decoded in zip(eval_records, captions)]
@@ -382,20 +379,19 @@ def evaluate_model(params, eval_records, initial_model=None, max_decode_len=16):
     }
 
 
-def _score_pairs(params, records, initial_model=None):
-    """Chosen and rejected sequence log-probs of every record and, with
+def _score_pairs(params, samples, initial_model=None):
+    """Chosen and rejected sequence log-probs of every sample and, with
     `initial_model`, each chosen caption's `per_token_kl` from it (else an
     empty list), as lists. One frozen policy forward per chunk gives all three;
     the initial model runs on the chosen rows only."""
-    if not records:
+    if not samples:
         raise ValueError("need at least one record")
     policy = params.frozen()
     chosen, rejected, kls = [], [], []
-    for chunk in _chunks(records):
-        n, samples = len(chunk), [rec.to_sample() for rec in chunk]
-        contexts = [s.context for s in samples] * 2
+    for chunk in _chunks(samples):
+        n, contexts = len(chunk), [s.context for s in chunk] * 2
         batch = pack(policy, [c.image_latent for c in contexts], [c.question for c in contexts],
-                     [s.chosen for s in samples] + [s.rejected for s in samples])
+                     [s.chosen for s in chunk] + [s.rejected for s in chunk])
         lp = batch_logprob_matrix(policy, batch)
         position_lp = ad.take_along_rows(lp, batch.targets).values
         seg = batch.segment_matrix()
@@ -410,7 +406,7 @@ def _score_pairs(params, records, initial_model=None):
 
 def mean_sequence_logprobs(params, records):
     """Mean chosen/rejected sequence log-probs over preference records."""
-    chosen, rejected, _ = _score_pairs(params, records)
+    chosen, rejected, _ = _score_pairs(params, [rec.to_sample() for rec in records])
     return _mean(chosen), _mean(rejected)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: argument handling, smoke runs of every
 subcommand at toy sizes, and byte-level reproducibility of artifacts."""
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -81,6 +82,24 @@ def test_construct_smoke_and_reproducible(tmp_path):
     records = [json.loads(l) for l in outs[0].decode().splitlines()]
     assert len(records) == 16  # gt + constructed per sample
     assert all("conversations" in r for r in records)
+
+
+# sha256 of `construct --k 3 --seed 1` on `gen-world --n 8 --seed 3`,
+# recorded before the GT conversation came from `PreferenceSample`
+CONSTRUCT_SHA256 = {
+    "append": "87b9908ce124c946cebcdb9e8f61bcb50ad12eefdf474cc283c11b7adf10d0ec",
+    "concat_separate": "4678342f611eea1b41ca83a3e211517f9a026cfed8787ee8797ddc77685806ea",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CONSTRUCT_SHA256))
+def test_construct_output_matches_recorded_bytes(tmp_path, mode):
+    data = _gen_world(tmp_path, "data.jsonl")
+    path = tmp_path / "c.jsonl"
+    code, _, err = _run(["construct", "--in", str(data), "--out", str(path),
+                         "--k", "3", "--mode", mode, "--seed", "1"])
+    assert code == 0, err
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CONSTRUCT_SHA256[mode]
 
 
 def test_train_smoke_and_reproducible(tmp_path):
@@ -168,6 +187,19 @@ def test_experiment_bad_size_fails_before_pretraining(tmp_path, monkeypatch, fie
     assert json.loads(err.strip())["message"].startswith(f"ExperimentSpec.{field} must be")
     assert pretrained == []
     assert not (tmp_path / "e.json").exists()
+
+
+def test_experiment_flag_defaults_are_the_spec_defaults(tmp_path, monkeypatch):
+    specs = []
+
+    def stop(spec):
+        specs.append(spec)
+        raise RuntimeError("stop before pretraining")
+
+    monkeypatch.setattr(training, "pretrain_base", stop)
+    code, _, _ = _run(["experiment", "--out", str(tmp_path / "e.json")])
+    assert code == 1
+    assert specs == [training.ExperimentSpec()]
 
 
 def test_experiment_base_checkpoint_round_trip(tmp_path):

@@ -1,4 +1,5 @@
-"""Packaging: every third-party module the code imports is declared."""
+"""Packaging: every third-party module the code imports is declared, and
+the record-to-model-input decision stays in one module."""
 
 import ast
 import re
@@ -35,3 +36,22 @@ def test_every_third_party_import_is_declared():
     assert third_party, "the scan found no third-party imports at all"
     undeclared = third_party - _declared_distributions()
     assert not undeclared, f"imported but not declared in pyproject.toml: {sorted(undeclared)}"
+
+
+# A record's model input is `PreferenceRecord.to_sample()` and its caption
+# conversation `PreferenceSample.caption_conversation`; these modules use them.
+_INPUT_BUILDING_NAMES = {"featurize", "CAPTION_QUESTION", "Turn"}
+
+
+@pytest.mark.parametrize("module", ["training.py", "cli.py"])
+def test_driver_modules_do_not_build_model_input(module):
+    tree = ast.parse(ROOT.joinpath("src", "prefalign", module).read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    assert not used & _INPUT_BUILDING_NAMES, f"{module} uses {sorted(used & _INPUT_BUILDING_NAMES)}"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from prefalign.autodiff import finite_diff
+from prefalign import checks
 from prefalign.checks import stacked_finite_diff, stacked_losses, tiny_instance
 from prefalign.data import StepRecord, TrajectoryLog
 from prefalign.losses import DpoConfig, dpo_loss, per_token_kl, sft_loss
@@ -175,3 +176,18 @@ def test_stacked_finite_diff_equals_coordinatewise_oracle(seed):
             assert np.max(np.abs(grads[t] - g_fd[t])) <= 1e-10
     after = [t.values for t in policy.tensors() + reference.tensors()]
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+@pytest.mark.parametrize("check", [
+    checks.check_frozen_reference_gradients,
+    checks.check_gradient_decomposition,
+    checks.check_losses_vs_finite_diff,
+    checks.check_softmax_row_gradient,
+])
+def test_gradient_checks_fail_on_nan_gradients(monkeypatch, check):
+    def nan_backward(loss, tensors):
+        return {t: np.full(t.shape, np.nan) for t in tensors}
+
+    monkeypatch.setattr(checks, "backward", nan_backward)
+    ok, detail = check(seeds=2)
+    assert not ok and "nan" in detail

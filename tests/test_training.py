@@ -259,6 +259,30 @@ def test_training_views_constructed_only_for_nsft_methods():
     assert all(v.constructed is not None and v.constructed.turns for v in views_nsft)
 
 
+def test_gt_dpo_views_without_reference_fail_early():
+    with pytest.raises(ValueError, match="reference"):
+        build_training_views(RECORDS, _config(method="gt_dpo"))
+
+
+def test_each_path_featurizes_a_record_once_per_call(monkeypatch):
+    calls, real = [], world.featurize
+    monkeypatch.setattr(world, "featurize", lambda scene: calls.append(scene) or real(scene))
+    params, initial = _eval_models()
+
+    def count(run):
+        del calls[:]
+        run()
+        return len(calls)
+
+    n_eval = len(EVAL_RECORDS)
+    assert count(lambda: evaluate_model(params, EVAL_RECORDS, initial_model=initial)) == n_eval
+    assert count(lambda: mean_sequence_logprobs(params, RECORDS)) == len(RECORDS)
+    assert count(lambda: self_response_records(params, RECORDS)) == len(RECORDS)
+    assert count(lambda: build_training_views(RECORDS, _config(method="gt_dpo"),
+                                              reference=initial)) == len(RECORDS)
+    assert count(lambda: make_base_model(RECORDS, dim=16, steps=20)) <= len(RECORDS)
+
+
 def test_training_diverges_loudly():
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
         train(_config(lr=1e18, steps=30), RECORDS)
@@ -348,7 +372,7 @@ GOLDEN_EVALUATE = {
 def test_evaluate_model_matches_golden_bit_for_bit():
     params, initial = _eval_models()
     assert evaluate_model(params, EVAL_RECORDS, initial_model=initial) == GOLDEN_EVALUATE
-    captions = _decode_records(params, EVAL_RECORDS, 16)
+    captions = _decode_records(params, [rec.to_sample() for rec in EVAL_RECORDS], 16)
     contexts = [rec.to_sample().context for rec in EVAL_RECORDS]
     x = [encode_context(params, c.image_latent, c.question) for c in contexts]
     assert captions == [greedy_decode(params, xi, 16) for xi in x]
