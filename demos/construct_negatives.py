@@ -9,17 +9,19 @@ Run: python3 demos/construct_negatives.py
 """
 
 from prefalign import world
-from prefalign.constructor import (
-    RuleBasedOracle,
-    balance_yes_no,
-    construct_conversation,
-    identify_errors,
-    load_default_codebook,
-)
+from prefalign.constructor import RuleBasedOracle, balance_yes_no, construct_conversation
 
 
 def words(tokens):
     return " ".join(world.tokens_to_words([t for t in tokens if t != world.EOS_ID]))
+
+
+def clause_words(triple):
+    """'two red cup' for an (object, color, count) triple; '-' for none."""
+    if triple is None:
+        return "-"
+    obj, color, count = triple
+    return f"{world.COUNT_WORDS[count - 1]} {world.COLORS[color]} {world.OBJECTS[obj]}"
 
 
 def main():
@@ -31,15 +33,14 @@ def main():
     print(f"\nchosen caption:   {words(rec.chosen)}")
     print(f"rejected caption: {words(rec.rejected)}")
 
-    codebook = load_default_codebook()
-    errors = identify_errors(RuleBasedOracle(), rec.rejected, rec.chosen, codebook)
-    print("\nidentified errors:")
+    sample = rec.to_sample()
+    errors = RuleBasedOracle().identify(rec.rejected, rec.chosen)
+    print("\nidentified errors (chosen -> rejected):")
     for err in errors:
-        lo, hi = err.span
-        span_words = words(rec.rejected[lo:hi]) if hi > lo else "(missing clause)"
-        print(f"   {err.category:28s} span [{lo},{hi}) -> {span_words!r}")
+        print(f"   {err.category:28s} {clause_words(err.original)!r} -> "
+              f"{clause_words(err.replacement)!r}")
 
-    conv = construct_conversation(errors, rec.chosen, rec.scene, k=5)
+    conv = construct_conversation(errors, rec.scene, sample.context.image_latent, k=5)
     conv = balance_yes_no(conv, 0.4, 0.6, seed=0)
     print(f"\nconstructed conversation ({len(conv.turns)} turns):")
     for turn in conv.turns:

@@ -3,8 +3,9 @@
 Verifies the loss and gradient relations between DPO-style preference
 optimization and supervised finetuning on an exactly-differentiable toy
 vision-language model, and implements negative supervised finetuning
-(nSFT): corrective-conversation construction from identified errors in
-rejected responses, guided by a vision error codebook.
+(nSFT): the caption diff between a rejected and a chosen response names
+its errors, one of `world.CORRUPTION_CATEGORIES` each, and every error
+becomes a corrective question-answer turn.
 """
 
 from .autodiff import Tensor, backward, finite_diff, relative_error

@@ -13,11 +13,9 @@ import sys
 from . import checks, metrics, theory, training, world
 from .constructor import (
     RuleBasedOracle,
-    assemble_nsft_sample,
     balance_yes_no,
     construct_conversation,
     conversation_to_llava_record,
-    load_default_codebook,
 )
 from .data import write_jsonl
 from .model import load_checkpoint, save_checkpoint
@@ -109,23 +107,21 @@ def _cmd_gen_world(args):
 def _cmd_construct(args):
     records = world.read_dataset_jsonl(args.input)
     oracle = RuleBasedOracle()
-    codebook = load_default_codebook()
     out_records = []
     for rec in records:
-        errors = oracle.identify(rec.rejected, rec.chosen, codebook)
-        conv = construct_conversation(errors, rec.chosen, rec.scene, k=args.k)
+        sample = rec.to_sample()
+        errors = oracle.identify(rec.rejected, rec.chosen)
+        conv = construct_conversation(errors, rec.scene, sample.context.image_latent, k=args.k)
         conv = balance_yes_no(conv, args.balance_low, args.balance_high, seed=args.seed + rec.seed)
-        gt = rec.to_sample().caption_conversation(rec.chosen)
-        assembled = assemble_nsft_sample(gt, conv, args.mode)
-        if args.mode == "append":
-            out_records.append(conversation_to_llava_record(assembled, f"scene-{rec.seed}",
-                                                            f"seed://{rec.seed}"))
-        else:
-            gt_conv, constructed = assembled
-            out_records.append(conversation_to_llava_record(gt_conv, f"scene-{rec.seed}/gt",
-                                                            f"seed://{rec.seed}"))
-            out_records.append(conversation_to_llava_record(constructed, f"scene-{rec.seed}/constructed",
-                                                            f"seed://{rec.seed}"))
+        gt = sample.caption_conversation(rec.chosen)
+        image_ref = f"seed://{rec.seed}"
+        if args.mode == "append":  # short-answer style: one conversation, GT turns first
+            gt.turns.extend(conv.turns)
+            out_records.append(conversation_to_llava_record(gt, f"scene-{rec.seed}", image_ref))
+        else:  # caption style: the two conversations the nSFT loss consumes separately
+            out_records.append(conversation_to_llava_record(gt, f"scene-{rec.seed}/gt", image_ref))
+            out_records.append(conversation_to_llava_record(conv, f"scene-{rec.seed}/constructed",
+                                                            image_ref))
     write_jsonl(out_records, args.out)
     print(f"wrote {len(out_records)} conversations to {args.out}")
     return 0

@@ -88,13 +88,6 @@ class PreferenceSample:
 class Turn:
     question: list[int]
     answer: list[int]
-    mask: list[bool] = field(default=None)  # which answer tokens carry loss
-
-    def __post_init__(self):
-        if self.mask is None:
-            self.mask = [True] * len(self.answer)
-        if len(self.mask) != len(self.answer):
-            raise ValueError("mask length must match answer length")
 
 
 @dataclass
@@ -103,7 +96,6 @@ class Conversation:
 
     image_latent: np.ndarray
     turns: list[Turn]
-    provenance: str = "gt"  # gt | constructed | appended
 
     def __post_init__(self):
         self.image_latent = np.asarray(self.image_latent, dtype=np.float64)
@@ -123,7 +115,7 @@ class Conversation:
                 y.extend(turn.question)
                 mask.extend([False] * len(turn.question))
             y.extend(turn.answer)
-            mask.extend(bool(m) for m in turn.mask)
+            mask.extend([True] * len(turn.answer))
         return first_q, y, mask
 
 

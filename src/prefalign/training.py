@@ -18,7 +18,6 @@ from .constructor import (
     RuleBasedOracle,
     balance_yes_no,
     construct_conversation,
-    load_default_codebook,
     qa_turns_from_clauses,
 )
 from .data import Conversation, StepRecord, TrajectoryLog, write_csv, write_json
@@ -144,7 +143,6 @@ def build_training_views(records, config: TrainConfig, reference=None):
         raise ValueError("gt_dpo training views need a reference model")
     needs_construct = config.method in ("nsft", "nsft_kl")
     oracle = RuleBasedOracle()
-    codebook = load_default_codebook()
     samples = [rec.to_sample() for rec in records]
     if dpo:
         ref_c, ref_r, _ = _score_pairs(reference, samples)
@@ -152,8 +150,9 @@ def build_training_views(records, config: TrainConfig, reference=None):
     for r, (rec, sample) in enumerate(zip(records, samples)):
         view = _SampleView(sample, sample.caption_conversation(sample.chosen))
         if needs_construct:
-            errors = oracle.identify(rec.rejected, rec.chosen, codebook)
-            conv = construct_conversation(errors, rec.chosen, rec.scene, k=config.construct_k)
+            errors = oracle.identify(rec.rejected, rec.chosen)
+            conv = construct_conversation(errors, rec.scene, sample.context.image_latent,
+                                          k=config.construct_k)
             lo, hi = config.yes_no_band
             view.constructed = balance_yes_no(conv, lo, hi, seed=rec.seed)
         if dpo:

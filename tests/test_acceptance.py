@@ -20,8 +20,6 @@ from prefalign.constructor import (
     RuleBasedOracle,
     balance_yes_no,
     construct_conversation,
-    identify_errors,
-    load_default_codebook,
     ocrvqa_pairs,
 )
 from prefalign.metrics import CaptionEval, chair
@@ -102,14 +100,13 @@ def _balance_achievable(n_yes, n_no, low, high):
 
 def test_error_identification_and_negative_construction():
     oracle = RuleBasedOracle()
-    codebook = load_default_codebook()
     records = world.make_preference_dataset(500, 123)
     tp = fp = fn = 0
     yes_id, no_id = world.TOKEN_TO_ID["yes"], world.TOKEN_TO_ID["no"]
     balanced_ok = True
     for rec in records:
-        errors = identify_errors(oracle, rec.rejected, rec.chosen, codebook)
-        got = sorted((e.category, e.correction if e.correction else e.wrong_value)
+        errors = oracle.identify(rec.rejected, rec.chosen)
+        got = sorted((e.category, e.original if e.original else e.replacement)
                      for e in errors)
         want = sorted((c.category, c.original if c.original else c.replacement)
                       for c in rec.corruptions)
@@ -118,7 +115,7 @@ def test_error_identification_and_negative_construction():
         fp += len(got) - matched
         fn += len(want) - matched
 
-        conv = construct_conversation(errors, rec.chosen, rec.scene, k=5)
+        conv = construct_conversation(errors, rec.scene, rec.to_sample().context.image_latent, k=5)
         n_yes = sum(1 for t in conv.turns if t.answer[0] == yes_id)
         n_no = sum(1 for t in conv.turns if t.answer[0] == no_id)
         out = balance_yes_no(conv, 0.4, 0.6, seed=rec.seed)

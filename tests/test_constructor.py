@@ -5,16 +5,12 @@ import numpy as np
 import pytest
 
 from prefalign import world
+from prefalign.cli import dispatch
 from prefalign.constructor import (
-    CodebookCategory,
-    ErrorCodebook,
     RuleBasedOracle,
-    assemble_nsft_sample,
     balance_yes_no,
     construct_conversation,
     conversation_to_llava_record,
-    identify_errors,
-    load_default_codebook,
     ocrvqa_pairs,
     qa_turns_from_clauses,
 )
@@ -39,63 +35,45 @@ _YES = world.TOKEN_TO_ID["yes"]
 _NO = world.TOKEN_TO_ID["no"]
 
 
-def _codebook():
-    return load_default_codebook()
-
-
-def test_default_codebook_covers_corruption_categories():
-    assert _codebook().names() == set(world.CORRUPTION_CATEGORIES)
-
-
-def test_codebook_validation():
-    with pytest.raises(ValueError):
-        ErrorCodebook(categories=[])
-    cat = CodebookCategory("x", "instance", "dup")
-    with pytest.raises(ValueError):
-        ErrorCodebook(categories=[cat, cat])
+def test_every_corruption_category_has_a_corrective_turn():
+    s = Scene([SceneObject(2, 1, 2)])  # two blue cup
+    triple = (2, 1, 2)
+    for cat in world.CORRUPTION_CATEGORIES:
+        error = world.Corruption(cat, 0, triple, triple)
+        (turn,) = construct_conversation([error], s, world.featurize(s), k=1).turns
+        assert turn.question and turn.answer[-1] == world.EOS_ID
+    with pytest.raises(ValueError, match="no template"):
+        construct_conversation([world.Corruption("scene/lighting", 0, triple, triple)],
+                               s, world.featurize(s), k=1)
 
 
 def test_identify_errors_empty_for_identical_captions():
     s = world.generate_scene(0)
     caption = render_caption(s)
-    assert identify_errors(RuleBasedOracle(), caption, caption, _codebook()) == []
+    assert RuleBasedOracle().identify(caption, caption) == []
 
 
-def test_identify_errors_color_swap_span():
+def test_identify_errors_color_swap():
     s = Scene([SceneObject(2, 1, 2)])  # two blue cup
     caption = render_caption(s)
     rejected = render_caption(Scene([SceneObject(2, 4, 2)]))  # color swapped
-    errors = identify_errors(RuleBasedOracle(), rejected, caption, _codebook())
-    assert len(errors) == 1
-    err = errors[0]
-    assert err.category == CAT_COLOR
-    assert err.span == (1, 2)  # the color token of clause 0
-    assert rejected[err.span[0]:err.span[1]] == [world.words_to_tokens([COLORS[4]])[0]]
-    assert err.correction == (2, 1, 2)
+    assert RuleBasedOracle().identify(rejected, caption) == [
+        world.Corruption(CAT_COLOR, 0, (2, 1, 2), (2, 4, 2))]
 
 
-def test_identify_errors_spans_within_bounds():
-    oracle = RuleBasedOracle()
-    codebook = _codebook()
-    for rec in world.make_preference_dataset(200, 11):
-        for err in identify_errors(oracle, rec.rejected, rec.chosen, codebook):
-            lo, hi = err.span
-            assert 0 <= lo <= hi <= len(rec.rejected)
+def _key(corruption):
+    return corruption.category, corruption.original, corruption.replacement
 
 
 def test_identify_errors_perfect_on_double_corruptions():
     oracle = RuleBasedOracle()
-    codebook = _codebook()
     seen_double = 0
     for rec in world.make_preference_dataset(300, 2):
         if len(rec.corruptions) != 2:
             continue
         seen_double += 1
-        errors = identify_errors(oracle, rec.rejected, rec.chosen, codebook)
-        got = sorted((e.category, e.correction if e.correction else e.wrong_value) for e in errors)
-        want = sorted((c.category, c.original if c.original else c.replacement)
-                      for c in rec.corruptions)
-        assert got == want
+        errors = oracle.identify(rec.rejected, rec.chosen)
+        assert sorted(map(_key, errors)) == sorted(map(_key, rec.corruptions))
     assert seen_double > 20
 
 
@@ -105,9 +83,9 @@ def _answer_words(turn):
 
 def test_construct_conversation_zero_errors_gives_k_gt_turns():
     s = world.generate_scene(4)
-    conv = construct_conversation([], render_caption(s), s, k=5)
+    conv = construct_conversation([], s, world.featurize(s), k=5)
     assert len(conv.turns) == 5
-    assert conv.provenance == "constructed"
+    assert np.array_equal(conv.image_latent, world.featurize(s))
     _assert_consistent_with_scene(conv, s)
 
 
@@ -116,8 +94,8 @@ def test_construct_conversation_fabrication_yields_no_answer():
     fabricated = Scene([SceneObject(0, 0, 1), SceneObject(1, 2, 2)])  # adds dog
     caption = render_caption(s)
     rejected = render_caption(fabricated)
-    errors = identify_errors(RuleBasedOracle(), rejected, caption, _codebook())
-    conv = construct_conversation(errors, caption, s, k=5)
+    errors = RuleBasedOracle().identify(rejected, caption)
+    conv = construct_conversation(errors, s, world.featurize(s), k=5)
     q = world.words_to_tokens(["is", "there", "a", "dog", "?"])
     corrective = [t for t in conv.turns if t.question == q]
     assert len(corrective) == 1
@@ -128,8 +106,8 @@ def test_construct_conversation_color_swap_asserts_correct_color():
     s = Scene([SceneObject(3, 0, 2)])  # two red hat
     caption = render_caption(s)
     rejected = render_caption(Scene([SceneObject(3, 1, 2)]))  # blue instead
-    errors = identify_errors(RuleBasedOracle(), rejected, caption, _codebook())
-    conv = construct_conversation(errors, caption, s, k=3)
+    errors = RuleBasedOracle().identify(rejected, caption)
+    conv = construct_conversation(errors, s, world.featurize(s), k=3)
     q = world.words_to_tokens(["what", "color", "is", "the", "hat", "?"])
     corrective = [t for t in conv.turns if t.question == q]
     assert corrective and _answer_words(corrective[0]) == ["red"]
@@ -156,19 +134,18 @@ def _assert_consistent_with_scene(conv, scene):
 
 def test_constructed_answers_never_contradict_chosen():
     oracle = RuleBasedOracle()
-    codebook = _codebook()
     for rec in world.make_preference_dataset(200, 8):
         # corrections about fabricated/swapped-in objects answer "no" about
         # objects absent from the scene, which the checker also covers
-        errors = identify_errors(oracle, rec.rejected, rec.chosen, codebook)
-        conv = construct_conversation(errors, rec.chosen, rec.scene, k=5)
+        errors = oracle.identify(rec.rejected, rec.chosen)
+        conv = construct_conversation(errors, rec.scene, world.featurize(rec.scene), k=5)
         _assert_consistent_with_scene(conv, rec.scene)
 
 
 def test_construct_conversation_rejects_bad_k():
     s = world.generate_scene(1)
     with pytest.raises(ValueError):
-        construct_conversation([], render_caption(s), s, k=0)
+        construct_conversation([], s, world.featurize(s), k=0)
 
 
 def test_ocrvqa_pairs_verbatim_example():
@@ -195,7 +172,7 @@ def _yes_no_conversation(n_yes, n_no):
                   [_YES, world.EOS_ID]) for _ in range(n_yes)]
     turns += [Turn(world.words_to_tokens(["is", "there", "a", "dog", "?"]),
                    [_NO, world.EOS_ID]) for _ in range(n_no)]
-    return Conversation(np.zeros(world.latent_dim()), turns, provenance="constructed")
+    return Conversation(np.zeros(world.latent_dim()), turns)
 
 
 def _yes_fraction(conv):
@@ -234,42 +211,52 @@ def test_balance_yes_no_never_removes_yes_or_non_yes_no_turns():
     assert any(t.question == color_q.question for t in out.turns)
 
 
+def test_balance_yes_no_keeps_no_turns_it_cannot_balance():
+    conv = _yes_no_conversation(0, 3)
+    out = balance_yes_no(conv, 0.4, 0.6, seed=0)
+    assert [(t.question, t.answer) for t in out.turns] == [(t.question, t.answer) for t in conv.turns]
+
+
 def test_balance_yes_no_validates_band():
     conv = _yes_no_conversation(1, 1)
     with pytest.raises(ValueError):
         balance_yes_no(conv, 0.8, 0.2, seed=0)
 
 
-def test_assemble_append_mode():
-    s = world.generate_scene(2)
-    gt = Conversation(world.featurize(s),
-                      [Turn(list(world.CAPTION_QUESTION), list(render_caption(s)))])
-    constructed = construct_conversation([], render_caption(s), s, k=3)
-    merged = assemble_nsft_sample(gt, constructed, "append")
-    assert len(merged.turns) == 1 + 3
-    assert merged.provenance == "appended"
-    unchanged = assemble_nsft_sample(gt, None, "append")
-    assert len(unchanged.turns) == len(gt.turns)
+def _construct(tmp_path, mode):
+    data, out = tmp_path / "world.jsonl", tmp_path / f"{mode}.jsonl"
+    world.write_dataset_jsonl(world.make_preference_dataset(6, 4), data)
+    assert dispatch(["construct", "--in", str(data), "--out", str(out), "--k", "3",
+                     "--mode", mode]) == 0
+    return read_jsonl(out)
+
+
+def test_assemble_append_mode(tmp_path, capsys):
+    separate = _construct(tmp_path, "concat_separate")
+    appended = _construct(tmp_path, "append")
+    assert len(separate) == 2 * len(appended)
+    for merged, gt, constructed in zip(appended, separate[::2], separate[1::2]):
+        assert gt["id"] == merged["id"] + "/gt" and constructed["id"] == merged["id"] + "/constructed"
+        assert merged["conversations"] == gt["conversations"] + constructed["conversations"]
+        assert len(gt["conversations"]) == 2  # one GT caption turn
 
 
 def test_assemble_concat_separate_feeds_nsft_loss():
     s = world.generate_scene(3)
-    gt = Conversation(world.featurize(s),
-                      [Turn(list(world.CAPTION_QUESTION), list(render_caption(s)))])
-    constructed = construct_conversation([], render_caption(s), s, k=2)
-    pair = assemble_nsft_sample(gt, constructed, "concat_separate")
-    assert pair == (gt, constructed)
+    gt = Conversation(world.featurize(s), [Turn(list(world.CAPTION_QUESTION), list(render_caption(s)))])
+    constructed = construct_conversation([], s, world.featurize(s), k=2)
     params = init_params(world.VOCAB_SIZE, 8, world.latent_dim(), n_blocks=1, seed=0)
-    total = nsft_loss(params, *pair).item()
+    total = nsft_loss(params, gt, constructed).item()
     parts = conversation_sft_loss(params, gt).item() + conversation_sft_loss(params, constructed).item()
     assert total == pytest.approx(parts, abs=1e-12)
 
 
-def test_assemble_rejects_unknown_mode():
-    s = world.generate_scene(2)
-    gt = Conversation(world.featurize(s), [Turn([0], [1])])
-    with pytest.raises(ValueError):
-        assemble_nsft_sample(gt, None, "zip")
+def test_assemble_rejects_unknown_mode(tmp_path, capsys):
+    data = tmp_path / "world.jsonl"
+    world.write_dataset_jsonl(world.make_preference_dataset(2, 4), data)
+    code = dispatch(["construct", "--in", str(data), "--out", str(tmp_path / "out.jsonl"),
+                     "--mode", "zip"])
+    assert code == 2 and "invalid choice: 'zip'" in capsys.readouterr().err
 
 
 def test_qa_turns_from_clauses_consistent():
@@ -282,7 +269,7 @@ def test_qa_turns_from_clauses_consistent():
 
 def test_llava_jsonl_round_trip(tmp_path):
     s = world.generate_scene(9)
-    conv = construct_conversation([], render_caption(s), s, k=2)
+    conv = construct_conversation([], s, world.featurize(s), k=2)
     rec = conversation_to_llava_record(conv, "scene-9", "seed://9")
     assert [c["from"] for c in rec["conversations"]] == ["human", "gpt"] * 2
     path = tmp_path / "convs.jsonl"

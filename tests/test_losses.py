@@ -177,7 +177,7 @@ def _conversation(seed, n_turns=2):
     rng = np.random.default_rng(seed)
     turns = [Turn(list(rng.integers(0, V, size=2)), list(rng.integers(0, V, size=3)))
              for _ in range(n_turns)]
-    return Conversation(rng.normal(size=K), turns, provenance="constructed")
+    return Conversation(rng.normal(size=K), turns)
 
 
 def test_nsft_loss_doubles_when_constructed_equals_gt():
@@ -190,7 +190,7 @@ def test_nsft_loss_doubles_when_constructed_equals_gt():
 def test_nsft_loss_empty_constructed_falls_back_with_warning():
     params = init_params(V, D, K, n_blocks=1, seed=11, scale=0.3)
     conv = _conversation(1)
-    empty = Conversation(conv.image_latent, [], provenance="constructed")
+    empty = Conversation(conv.image_latent, [])
     gt_only = conversation_sft_loss(params, conv).item()
     for constructed in (None, empty):
         with pytest.warns(UserWarning):

@@ -1,7 +1,9 @@
-"""Packaging: every third-party module the code imports is declared, and
-the record-to-model-input decision stays in one module."""
+"""Packaging: every third-party module the code imports is declared, the
+record-to-model-input decision stays in one module, and the names the
+benchmark pins exist."""
 
 import ast
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -55,3 +57,32 @@ def test_driver_modules_do_not_build_model_input(module):
         elif isinstance(node, ast.Name):
             used.add(node.id)
     assert not used & _INPUT_BUILDING_NAMES, f"{module} uses {sorted(used & _INPUT_BUILDING_NAMES)}"
+
+
+def _load_by_path(path):
+    spec = importlib.util.spec_from_file_location(f"_pinned_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _names_imported_from(path, module):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == module for alias in node.names]
+
+
+def test_benchmark_pinned_names_resolve():
+    """perfbench traces and imports these by name; a rename or deletion
+    in the package must fail here, not only in a traced benchmark run."""
+    tracing = _load_by_path(ROOT / "perfbench" / "tracing.py")
+    pinned = [(mod, attr) for _, mod, attr in tracing.SELF_TIMED + tracing.PHASES]
+    pinned += [("model", name) for name in
+               _names_imported_from(ROOT / "perfbench" / "workloads.py", "prefalign.model")]
+    assert len(pinned) > len(tracing.SELF_TIMED)
+    for mod, attr in pinned:
+        owner = importlib.import_module(f"prefalign.{mod}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+            assert owner is not None, f"perfbench names prefalign.{mod}.{attr}, which is gone"
+        assert callable(owner), f"prefalign.{mod}.{attr} is not callable"

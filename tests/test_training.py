@@ -10,6 +10,7 @@ import pytest
 import prefalign.autodiff as ad
 from prefalign import world
 from prefalign.autodiff import Tensor, backward, relative_error
+from prefalign.cli import dispatch
 from prefalign.losses import (
     conversation_sft_loss,
     conversations_sft_loss,
@@ -264,7 +265,18 @@ def test_gt_dpo_views_without_reference_fail_early():
         build_training_views(RECORDS, _config(method="gt_dpo"))
 
 
-def test_each_path_featurizes_a_record_once_per_call(monkeypatch):
+def test_nsft_at_one_constructed_turn_keeps_every_conversation():
+    # at k=1, 12 of these 50 conversations hold only 'No' turns, no 'Yes'
+    # turn to balance them; erasing them would leave nothing (and warn)
+    records = world.make_preference_dataset(50, 0)
+    views = build_training_views(records, _config(method="nsft", construct_k=1))
+    assert all(v.constructed.turns for v in views)
+    train(TrainConfig(method="nsft", construct_k=1, steps=3, dim=8), records)
+
+
+def test_each_path_featurizes_a_record_once_per_call(monkeypatch, tmp_path):
+    data = tmp_path / "world.jsonl"
+    world.write_dataset_jsonl(RECORDS, data)
     calls, real = [], world.featurize
     monkeypatch.setattr(world, "featurize", lambda scene: calls.append(scene) or real(scene))
     params, initial = _eval_models()
@@ -280,6 +292,11 @@ def test_each_path_featurizes_a_record_once_per_call(monkeypatch):
     assert count(lambda: self_response_records(params, RECORDS)) == len(RECORDS)
     assert count(lambda: build_training_views(RECORDS, _config(method="gt_dpo"),
                                               reference=initial)) == len(RECORDS)
+    for method in ("nsft", "nsft_kl"):
+        assert count(lambda: build_training_views(RECORDS, _config(method=method))) == len(RECORDS)
+    for mode in ("append", "concat_separate"):
+        argv = ["construct", "--in", str(data), "--out", str(tmp_path / "c.jsonl"), "--mode", mode]
+        assert count(lambda: dispatch(argv)) == len(RECORDS)
     assert count(lambda: make_base_model(RECORDS, dim=16, steps=20)) <= len(RECORDS)
 
 
