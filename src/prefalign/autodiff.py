@@ -5,6 +5,15 @@ log-softmax, reductions, sigmoid, exp and concat.
 That closed set is enough to express every loss in this package while
 keeping each op's adjoint a few lines of numpy. An op computes no
 adjoint for a constant parent.
+
+Two more nodes fuse compositions of those ops that the model runs on
+every forward: `mlp_block`, the residual block h + sigmoid(h @ w1) @ w2
+(four nodes), and `const_matmul_sum`, the prefix means w_tok @ embed +
+w_img @ img_proj (three). A node costs Python time to build, sort and
+back-propagate whatever its size, and the model's arrays are small, so
+the fused forms save most of that per-node time. They evaluate the
+composition's own expressions in its order, so values and gradients are
+bit for bit those of the composition (tests/test_autodiff.py).
 """
 
 from __future__ import annotations
@@ -19,11 +28,13 @@ __all__ = [
     "add",
     "mul",
     "matmul",
+    "const_matmul_sum",
     "gather_rows",
     "take_along_rows",
     "log_softmax",
     "tsum",
     "sigmoid",
+    "mlp_block",
     "log_sigmoid",
     "texp",
     "concat_rows",
@@ -154,12 +165,31 @@ def matmul(a, b):
     av, bv = a.values, b.values
 
     def bwd(g):
-        # multiply.outer keeps a 1-D operand's shape when g is 0-d ((d,) @ (d,))
-        ga = (np.multiply.outer(g, bv) if bv.ndim == 1 else g @ bv.T) if a.requires_grad else None
-        gb = (np.multiply.outer(av, g) if av.ndim == 1 else av.T @ g) if b.requires_grad else None
-        return ga, gb
+        return _matmul_adjoints(av, bv, g, a.requires_grad, b.requires_grad)
 
     return _node(av @ bv, (a, b), bwd)
+
+
+def _matmul_adjoints(av, bv, g, need_a, need_b):
+    """The adjoints of av @ bv for output adjoint g, None where not needed."""
+    # multiply.outer keeps a 1-D operand's shape when g is 0-d ((d,) @ (d,))
+    ga = (np.multiply.outer(g, bv) if bv.ndim == 1 else g @ bv.T) if need_a else None
+    gb = (np.multiply.outer(av, g) if av.ndim == 1 else av.T @ g) if need_b else None
+    return ga, gb
+
+
+def const_matmul_sum(wa, a, wb, b):
+    """wa @ a + wb @ b for constant numpy arrays wa and wb, as one node.
+    Values and adjoints are those of `add` of the two `matmul`s."""
+    a, b = _wrap(a), _wrap(b)
+    wa, wb = np.asarray(wa, dtype=np.float64), np.asarray(wb, dtype=np.float64)
+    ma, mb = wa @ a.values, wb @ b.values
+
+    def bwd(g):
+        return (_matmul_adjoints(wa, a.values, _sum_to(g, ma.shape), False, a.requires_grad)[1],
+                _matmul_adjoints(wb, b.values, _sum_to(g, mb.shape), False, b.requires_grad)[1])
+
+    return _node(ma + mb, (a, b), bwd)
 
 
 def gather_rows(mat, indices):
@@ -230,6 +260,27 @@ def sigmoid(t):
         return (g * out * (1.0 - out),)
 
     return _node(out, (t,), bwd)
+
+
+def mlp_block(h, w1, w2):
+    """The residual MLP block h + sigmoid(h @ w1) @ w2 as one node. Values
+    and adjoints are those of the same `matmul`, `sigmoid`, `matmul` and
+    `add` composed, expression for expression."""
+    h, w1, w2 = _wrap(h), _wrap(w1), _wrap(w2)
+    hv, w1v, w2v = h.values, w1.values, w2.values
+    s, _ = _sigmoid_parts(hv @ w1v)
+    m = s @ w2v
+    inner = h.requires_grad or w1.requires_grad  # do they need sigmoid's adjoint?
+
+    def bwd(g):
+        gs, gw2 = _matmul_adjoints(s, w2v, _sum_to(g, m.shape), inner, w2.requires_grad)
+        if not inner:
+            return None, None, gw2
+        gh, gw1 = _matmul_adjoints(hv, w1v, gs * s * (1.0 - s), h.requires_grad, w1.requires_grad)
+        # h's adjoint arrives from the residual add first, then from h @ w1
+        return (None if gh is None else _sum_to(g, hv.shape) + gh), gw1, gw2
+
+    return _node(hv + m, (h, w1, w2), bwd)
 
 
 def log_sigmoid(t):
@@ -314,8 +365,8 @@ def backward(loss, params):
             grads[id(parent)] = pg if acc is None else acc + pg
     out = {}
     for p in params:
-        out[p] = grads.get(id(p), np.zeros_like(p.values))
-        p.grad = out[p]
+        g = grads.get(id(p))
+        out[p] = p.grad = np.zeros_like(p.values) if g is None else g
     return out
 
 

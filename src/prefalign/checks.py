@@ -186,31 +186,29 @@ def check_losses_vs_finite_diff(seeds=100, tol=1e-5, eps=1e-4):
     return worst <= tol, f"max rel err vs finite differences = {worst:.3e} (tol {tol:g})"
 
 
+def _ratio_sweep(rng, points, lo, hi):
+    """`points` RatioPoints as one array point: (t1, t2) drawn in that order
+    per point from uniform(lo, hi), beta cycling through 0.1, 0.5, 1, 2."""
+    t = rng.uniform(lo, hi, size=(points, 2))
+    return RatioPoint(t[:, 0], t[:, 1], np.resize([0.1, 0.5, 1.0, 2.0], points))
+
+
 def check_update_rate_ratio(points=1000, tol=1e-10, seed=0):
     """|dL/dt1 / dL/dt2| == t2/t1 over a random sweep of (t1, t2, beta)."""
-    rng = np.random.default_rng(seed)
-    betas = [0.1, 0.5, 1.0, 2.0]
-    worst = 0.0
-    for i in range(points):
-        pt = RatioPoint(float(rng.uniform(0.05, 20.0)), float(rng.uniform(0.05, 20.0)),
-                        betas[i % len(betas)])
-        worst = np.maximum(worst, abs(update_rate_ratio(pt) - pt.t2 / pt.t1))
+    pt = _ratio_sweep(np.random.default_rng(seed), points, 0.05, 20.0)
+    worst = np.max(np.abs(update_rate_ratio(pt) - pt.t2 / pt.t1))
     return worst <= tol, f"max |ratio - t2/t1| = {worst:.3e} (tol {tol:g})"
 
 
 def check_partials_vs_finite_diff(points=200, tol=1e-7, seed=1):
-    rng = np.random.default_rng(seed)
+    pt = _ratio_sweep(np.random.default_rng(seed), points, 0.2, 5.0)
     h = 1e-6
-    worst = 0.0
-    for i in range(points):
-        pt = RatioPoint(float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.2, 5.0)),
-                        [0.1, 0.5, 1.0, 2.0][i % 4])
-        d1, d2 = dpo_partials(pt)
-        fd1 = (dpo_loss_t(RatioPoint(pt.t1 + h, pt.t2, pt.beta))
-               - dpo_loss_t(RatioPoint(pt.t1 - h, pt.t2, pt.beta))) / (2 * h)
-        fd2 = (dpo_loss_t(RatioPoint(pt.t1, pt.t2 + h, pt.beta))
-               - dpo_loss_t(RatioPoint(pt.t1, pt.t2 - h, pt.beta))) / (2 * h)
-        worst = np.maximum(worst, np.maximum(relative_error(d1, fd1), relative_error(d2, fd2)))
+    d1, d2 = dpo_partials(pt)
+    fd1 = (dpo_loss_t(RatioPoint(pt.t1 + h, pt.t2, pt.beta))
+           - dpo_loss_t(RatioPoint(pt.t1 - h, pt.t2, pt.beta))) / (2 * h)
+    fd2 = (dpo_loss_t(RatioPoint(pt.t1, pt.t2 + h, pt.beta))
+           - dpo_loss_t(RatioPoint(pt.t1, pt.t2 - h, pt.beta))) / (2 * h)
+    worst = np.maximum(relative_error(d1, fd1), relative_error(d2, fd2))
     return worst <= tol, f"max rel err of partials = {worst:.3e} (tol {tol:g})"
 
 

@@ -98,6 +98,19 @@ def _gt_turns(scene):
             yield Turn(_q_count(o.obj), _a([COUNT_WORDS[o.count - 1]]))
 
 
+# token tables of the QA templates, by object, color and count - 1
+_Q_EXISTS = [_q_exists(o) for o in range(len(OBJECTS))]
+_Q_COLOR = [_q_color(o) for o in range(len(OBJECTS))]
+_Q_COUNT = [_q_count(o) for o in range(len(OBJECTS))]
+_A_YES, _A_NO = _a(["yes"]), _a(["no"])
+_A_COLOR = [_a([c]) for c in COLORS]
+_A_COUNT = [_a([w]) for w in COUNT_WORDS]
+
+
+def _table_turn(question, answer):
+    return Turn(list(question), list(answer))  # copies: a turn must not alias a table
+
+
 def qa_turns_from_clauses(clauses, rng, n):
     """n random QA turns consistent with a clause list (a believed scene).
 
@@ -110,16 +123,17 @@ def qa_turns_from_clauses(clauses, rng, n):
         kind = rng.integers(0, 3)
         if kind == 0:
             if rng.random() < 0.5:
-                turns.append(Turn(_q_exists(present[int(rng.integers(len(present)))]), _a(["yes"])))
+                turns.append(_table_turn(_Q_EXISTS[present[int(rng.integers(len(present)))]],
+                                         _A_YES))
             else:
                 absent = [o for o in range(len(OBJECTS)) if o not in present]
-                turns.append(Turn(_q_exists(absent[int(rng.integers(len(absent)))]), _a(["no"])))
+                turns.append(_table_turn(_Q_EXISTS[absent[int(rng.integers(len(absent)))]], _A_NO))
         elif kind == 1:
             cl = clauses[int(rng.integers(0, len(clauses)))]
-            turns.append(Turn(_q_color(cl.obj), _a([COLORS[cl.color]])))
+            turns.append(_table_turn(_Q_COLOR[cl.obj], _A_COLOR[cl.color]))
         else:
             cl = clauses[int(rng.integers(0, len(clauses)))]
-            turns.append(Turn(_q_count(cl.obj), _a([COUNT_WORDS[cl.count - 1]])))
+            turns.append(_table_turn(_Q_COUNT[cl.obj], _A_COUNT[cl.count - 1]))
     return turns
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "pair_logprobs",
     "sequence_logprob",
     "sft_loss",
+    "batch_sft_loss",
     "pack_conversations",
     "conversations_sft_loss",
     "dpo_logit",
@@ -90,7 +91,12 @@ def sft_loss(params, context: InputContext, y, mask=None):
         mask = [True] * len(y)
     if not any(mask):
         raise ValueError("mask selects no tokens")
-    return -ad.tsum(_position_logprobs(params, _pack_contexts(params, [context], [y], [mask])))
+    return batch_sft_loss(params, _pack_contexts(params, [context], [y], [mask]))
+
+
+def batch_sft_loss(params, batch):
+    """Cross-entropy summed over every position of a packed `Batch`."""
+    return -ad.tsum(_position_logprobs(params, batch))
 
 
 def pack_conversations(params, conversations):
@@ -102,7 +108,7 @@ def pack_conversations(params, conversations):
 
 def conversations_sft_loss(params, conversations):
     """Sum of the masked SFT losses of many conversations, one packed forward."""
-    return -ad.tsum(_position_logprobs(params, pack_conversations(params, conversations)))
+    return batch_sft_loss(params, pack_conversations(params, conversations))
 
 
 def dpo_margin(lp_c, lp_r, ref_c, ref_r):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,9 @@ __all__ = [
     "init_params",
     "encode_context",
     "Batch",
+    "PackedSample",
+    "pack_sample",
+    "pack_samples",
     "pack",
     "prefix_means",
     "batch_logprob_matrix",
@@ -132,7 +136,7 @@ def encode_context(params, image_latent, question):
 
 def _mlp(params, h):
     for w1, w2 in params.blocks:
-        h = ad.add(h, ad.matmul(ad.sigmoid(ad.matmul(h, w1)), w2))
+        h = ad.mlp_block(h, w1, w2)
     return h
 
 
@@ -179,48 +183,77 @@ def _token_counts(tokens, lo, hi, vocab_size):
     return csum.take(hi, axis=0) - csum.take(lo, axis=0)
 
 
-def pack(params, latents, questions, ys, masks=None):
-    """Pack (image latent, question, answer) triples into one `Batch`.
+class PackedSample(NamedTuple):
+    """One sample's share of a `Batch`, independent of the rest of it, so a
+    sample that recurs can be built once: its prefix tokens (the question,
+    then the answer but its last token) and, per position, how many of
+    those tokens its prefix holds and the answer token it predicts."""
 
-    With `masks`, answer token i of sample b is a position only where
-    ``masks[b][i]`` is true. Raises ValueError on a latent of the wrong
-    size, an empty question or answer, a mask of the wrong length, or a
-    token id outside [0, V).
-    """
-    v = params.vocab_size
+    tokens: tuple   # (T,)
+    ends: tuple     # (n,) position i's prefix holds tokens[:ends[i]]
+    targets: tuple  # (n,)
+
+
+def pack_sample(params, question, y, mask=None):
+    """The `PackedSample` of one (question, answer) pair; with `mask`,
+    answer token i is a position only where ``mask[i]`` is true. Raises
+    ValueError on an empty question or answer, a mask of the wrong length,
+    or a token id outside [0, V)."""
+    question, y = list(question), list(y)
+    if not question or not y:
+        raise ValueError("question and y must be non-empty")
+    if min(question + y) < 0 or max(question + y) >= params.vocab_size:
+        raise ValueError("token id out of range")
+    if mask is not None and len(mask) != len(y):
+        raise ValueError("mask length must equal |y|")
+    q = len(question)
+    if mask is None:
+        ends, targets = range(q, q + len(y)), y
+    else:
+        keep = [i for i, m in enumerate(mask) if m]
+        ends, targets = [q + i for i in keep], [y[i] for i in keep]
+    return PackedSample(tuple(question + y[:-1]), tuple(ends), tuple(targets))
+
+
+def pack_samples(params, latents, samples):
+    """One `Batch` of `PackedSample`s, sample b over ``latents[b]``. Raises
+    ValueError on no samples, a latent of the wrong size, or a latent count
+    that differs from the sample count."""
     latents = np.asarray(latents, dtype=np.float64)
     if latents.ndim != 2 or latents.shape[1] != params.latent_dim:
         raise ValueError(f"latent dim {latents.shape[1:]} != ({params.latent_dim},)")
-    tokens, lo, hi, targets, sample, offsets = [], [], [], [], [], [0]
-    for b, (question, y) in enumerate(zip(questions, ys)):
-        question, y = list(question), list(y)
-        if not question or not y:
-            raise ValueError("question and y must be non-empty")
-        if min(question + y) < 0 or max(question + y) >= v:
-            raise ValueError("token id out of range")
-        if masks is not None and len(masks[b]) != len(y):
-            raise ValueError("mask length must equal |y|")
-        keep = range(len(y)) if masks is None else [i for i, m in enumerate(masks[b]) if m]
-        start, end = len(tokens), len(tokens) + len(question)
-        tokens += question + y[:-1]
-        lo += [start] * len(keep)
-        hi += [end + i for i in keep]
-        targets += [y[i] for i in keep]
-        sample += [b] * len(keep)
-        offsets.append(len(targets))
-    if len(offsets) != len(latents) + 1:
+    if not samples or len(samples) != len(latents):
         raise ValueError("need one latent, question and y per sample")
-    lo, hi = np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)
+    tokens, lo, ends, targets, sample, offsets = [], [], [], [], [], [0]
+    for b, s in enumerate(samples):  # whole-sample list operations, none per token
+        lo += [len(tokens)] * len(s.ends)
+        tokens += s.tokens
+        ends += s.ends
+        targets += s.targets
+        sample += [b] * len(s.ends)
+        offsets.append(len(targets))
+    lo = np.array(lo, dtype=np.intp)
+    hi = lo + np.array(ends, dtype=np.intp)
     n = (hi - lo + 1.0)[:, None]  # the prefix length, image slot included
-    return Batch(_token_counts(tokens, lo, hi, v) / n,
+    return Batch(_token_counts(tokens, lo, hi, params.vocab_size) / n,
                  latents.take(np.array(sample, dtype=np.intp), axis=0) / n,
                  np.array(targets, dtype=np.intp), np.array(offsets, dtype=np.intp))
 
 
+def pack(params, latents, questions, ys, masks=None):
+    """Pack (image latent, question, answer) triples into one `Batch`:
+    `pack_sample` of each, then `pack_samples`. With `masks`, answer token
+    i of sample b is a position only where ``masks[b][i]`` is true."""
+    return pack_samples(params, latents, [
+        pack_sample(params, q, y, None if masks is None else masks[b])
+        for b, (q, y) in enumerate(zip(questions, ys))])
+
+
 def prefix_means(params, batch):
-    """(N, d) prefix mean of every packed position: two matmuls whose left
-    operands are constants, so each backward is one ``w.T @ g``."""
-    return ad.add(ad.matmul(batch.w_tok, params.embed), ad.matmul(batch.w_img, params.img_proj))
+    """(N, d) prefix mean of every packed position: ``w_tok @ embed +
+    w_img @ img_proj``, one node whose left operands are constants, so
+    each backward is one ``w.T @ g``."""
+    return ad.const_matmul_sum(batch.w_tok, params.embed, batch.w_img, params.img_proj)
 
 
 def batch_logprob_matrix(params, batch):

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .data import write_csv, write_json
 
 __all__ = [
@@ -26,21 +28,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RatioPoint:
+    """One (t1, t2, beta) point, or many: each field may be a float or a
+    numpy array, and the functions below broadcast over arrays, so a sweep
+    is one expression per formula."""
+
     t1: float
     t2: float
     beta: float
 
     def __post_init__(self):
-        if self.t1 <= 0 or self.t2 <= 0 or self.beta <= 0:
+        if any(np.any(np.less_equal(v, 0)) for v in (self.t1, self.t2, self.beta)):
             raise ValueError("t1, t2 and beta must be strictly positive")
 
 
 def dpo_loss_t(point: RatioPoint):
     """-log(t1^b / (t1^b + t2^b)), computed in log space for stability."""
-    a = point.beta * math.log(point.t1)
-    b = point.beta * math.log(point.t2)
-    m = max(a, b)
-    return -(a - (m + math.log(math.exp(a - m) + math.exp(b - m))))
+    a = point.beta * np.log(point.t1)
+    b = point.beta * np.log(point.t2)
+    m = np.maximum(a, b)
+    return -(a - (m + np.log(np.exp(a - m) + np.exp(b - m))))
 
 
 def dpo_partials(point: RatioPoint):
@@ -55,7 +61,7 @@ def dpo_partials(point: RatioPoint):
 def update_rate_ratio(point: RatioPoint):
     """|dL/dt1 / dL/dt2|; algebraically equal to t2/t1."""
     d1, d2 = dpo_partials(point)
-    return abs(d1 / d2)
+    return np.abs(d1 / d2)
 
 
 def bias_trajectory_report(log, warmup_frac=0.1):

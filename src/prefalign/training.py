@@ -22,7 +22,7 @@ from .constructor import (
 )
 from .data import Conversation, StepRecord, TrajectoryLog, write_csv, write_json
 from .losses import (
-    conversations_sft_loss,
+    batch_sft_loss,
     dpo_margin,
     dpo_margin_loss,
     nsft_conversations,
@@ -34,7 +34,15 @@ from .losses import (
 )
 from .metrics import CaptionEval, chair, object_recall
 from .theory import bias_trajectory_report
-from .model import batch_logprob_matrix, greedy_decode_batch, init_params, pack, params_hash
+from .model import (
+    batch_logprob_matrix,
+    greedy_decode_batch,
+    init_params,
+    pack,
+    pack_sample,
+    pack_samples,
+    params_hash,
+)
 from .world import (
     EOS_ID,
     OBJECT_TOKEN_BASE,
@@ -284,23 +292,28 @@ def make_base_model(records, dim=64, n_blocks=2, steps=8000, batch_size=16):
     params = init_params(VOCAB_SIZE, dim, latent_dim(), n_blocks=n_blocks, seed=_PRETRAIN_SEED)
     rng = np.random.default_rng(_PRETRAIN_SEED)
     tensors = params.tensors()
-    # per record, index 0 is the clean belief and index 1 the noisy one
+    # per record, index 0 is the clean belief and index 1 the noisy one;
+    # each caption item is packed once, here
     clauses = [(list(rec.scene.objects), parse_caption(rec.rejected)) for rec in records]
-    captions = [(s.caption_conversation(s.chosen), s.caption_conversation(s.rejected))
-                for s in map(PreferenceRecord.to_sample, records)]
+    latents, captions = [], []
+    for s in map(PreferenceRecord.to_sample, records):
+        latents.append(s.context.image_latent)
+        captions.append(tuple(pack_sample(params, *s.caption_conversation(y).flatten())
+                              for y in (s.chosen, s.rejected)))
     for step in range(steps):
         step_lr = cosine_lr(step, steps, _PRETRAIN_LR)
         idx = rng.integers(0, len(records), size=batch_size)
-        convs = []
+        items = []
         for i in idx:
             i = int(i)
             noisy = int(rng.random() < _NOISY_FRAC)
             if rng.random() < _QA_FRAC:
                 turns = qa_turns_from_clauses(clauses[i][noisy], rng, int(rng.integers(2, 5)))
-                convs.append(Conversation(captions[i][0].image_latent, turns))
+                items.append(pack_sample(params, *Conversation(latents[i], turns).flatten()))
             else:
-                convs.append(captions[i][noisy])
-        _sgd_step(tensors, conversations_sft_loss(params, convs) / batch_size, step_lr, step)
+                items.append(captions[i][noisy])
+        batch = pack_samples(params, [latents[i] for i in idx], items)
+        _sgd_step(tensors, batch_sft_loss(params, batch) / batch_size, step_lr, step)
     return params
 
 
@@ -468,9 +481,17 @@ def run_experiment(spec: ExperimentSpec, base_model=None, configs=None):
     replaces injected negatives with the base model's own mistakes,
     trains every method from the shared base, and reports held-out
     metrics plus chosen/rejected log-prob movement on the training set.
+    Raises ValueError, before any decoding or training, on a `base_model`
+    whose dim or block count differs from the spec's, or whose vocabulary
+    or latent size differs from the world's.
     """
     if base_model is None:
         base_model = pretrain_base(spec)
+    got = (base_model.dim, len(base_model.blocks), base_model.vocab_size, base_model.latent_dim)
+    want = (spec.dim, spec.n_blocks, VOCAB_SIZE, latent_dim())
+    if got != want:
+        raise ValueError(f"base model (dim, n_blocks, vocab_size, latent_dim) = {got}, but the "
+                         f"spec and the world need {want}")
     pool = set(range(spec.object_pool_size))
     injected = make_preference_dataset(spec.train_n, spec.seed, object_pool=pool)
     records = self_response_records(base_model, injected, max_decode_len=spec.max_decode_len)

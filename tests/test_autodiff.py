@@ -190,3 +190,85 @@ def test_elementwise_adjoints_match_finite_diff(op, shapes, n, d, seed):
        seed=st.integers(0, 2**32 - 1))
 def test_matmul_adjoint_matches_finite_diff(shapes, n, d, seed):
     _assert_adjoint_matches_finite_diff(ad.matmul, shapes(n, d), seed)
+
+
+def _fused_block(leaves):
+    return ad.mlp_block(*leaves)
+
+
+def _composed_block(leaves):
+    h, w1, w2 = leaves
+    return ad.add(h, ad.matmul(ad.sigmoid(ad.matmul(h, w1)), w2))
+
+
+def _composed_matmul_sum(wa, a, wb, b):
+    return ad.add(ad.matmul(wa, a), ad.matmul(wb, b))
+
+
+def _assert_node_equals_composition(fused, composed, leaves, seed):
+    """Values with ==; then, for leaves of the given requires_grad, the
+    gradients of sum(out * weights) with ==, None where the composition
+    computes none."""
+    out = fused(leaves)
+    want = composed(leaves)
+    assert out.shape == want.shape and np.array_equal(out.values, want.values)
+    if not any(t.requires_grad for t in leaves):
+        return
+    weights = Tensor(np.random.default_rng(seed).normal(size=out.shape))
+    g = backward(ad.tsum(ad.mul(fused(leaves), weights)), leaves)
+    g_want = backward(ad.tsum(ad.mul(composed(leaves), weights)), leaves)
+    for t in leaves:
+        assert np.array_equal(g[t], g_want[t])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 5), d=st.integers(1, 5), grads=st.tuples(*[st.booleans()] * 3),
+       stacked=st.sets(st.sampled_from([0, 1, 2])), rows=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_mlp_block_node_equals_composition(n, d, grads, stacked, rows, seed):
+    rng = np.random.default_rng(seed)
+    shapes = [(n, d), (d, d), (d, d)]
+    leaves = [Tensor(rng.normal(size=s), requires_grad=r) for s, r in zip(shapes, grads)]
+    _assert_node_equals_composition(_fused_block, _composed_block, leaves, seed)
+    # the forward with a leading stack axis on some operands, as the
+    # stacked finite-difference oracle runs it on grad-free params
+    leaves = [Tensor(rng.normal(size=((rows,) if i in stacked else ()) + s))
+              for i, s in enumerate(shapes)]
+    _assert_node_equals_composition(_fused_block, _composed_block, leaves, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 5), v=st.integers(1, 5), k=st.integers(1, 5), d=st.integers(1, 5),
+       grads=st.tuples(st.booleans(), st.booleans()), stacked=st.sets(st.sampled_from([0, 1])),
+       rows=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_const_matmul_sum_node_equals_composition(n, v, k, d, grads, stacked, rows, seed):
+    rng = np.random.default_rng(seed)
+    weights = [rng.normal(size=(n, v)), rng.normal(size=(n, k))]
+
+    def fused(tensors):
+        return ad.const_matmul_sum(weights[0], tensors[0], weights[1], tensors[1])
+
+    def composed(tensors):
+        return _composed_matmul_sum(weights[0], tensors[0], weights[1], tensors[1])
+
+    shapes = [(v, d), (k, d)]
+    leaves = [Tensor(rng.normal(size=s), requires_grad=r) for s, r in zip(shapes, grads)]
+    _assert_node_equals_composition(fused, composed, leaves, seed)
+    leaves = [Tensor(rng.normal(size=((rows,) if i in stacked else ()) + s))
+              for i, s in enumerate(shapes)]
+    _assert_node_equals_composition(fused, composed, leaves, seed)
+
+
+def test_backward_allocates_zeros_only_for_unreached_params(monkeypatch):
+    a, b = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(2), requires_grad=True)
+    calls, zeros_like = [], np.zeros_like
+
+    def counting_zeros_like(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return zeros_like(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros_like", counting_zeros_like)
+    g = backward(ad.tsum(ad.mul(a, a)), [a, b])
+    assert calls == [(2,)]
+    assert np.array_equal(g[a], 2.0 * np.ones(3)) and g[a] is a.grad
+    assert np.array_equal(g[b], np.zeros(2)) and g[b] is b.grad

@@ -8,8 +8,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from prefalign import training
+from prefalign import training, world
 from prefalign.cli import dispatch
+from prefalign.model import init_params, save_checkpoint
 
 
 def _run(argv):
@@ -44,6 +45,27 @@ def test_check_theory_smoke():
     lines = out.strip().splitlines()
     assert len(lines) == 9
     assert all(line.startswith("PASS") for line in lines)
+
+
+# Recorded on the commit before the closed-form sweeps became array
+# expressions: every check's worst error, digit for digit.
+CHECK_THEORY_SEEDS_2 = [
+    "PASS logit-sft-identity: max |p'_dpo + dL_sft| = 0.000e+00 (tol 1e-10)",
+    "PASS frozen-reference-gradients: max |grad diff| = 0.000e+00 (tol 1e-10)",
+    "PASS gradient-decomposition: max componentwise rel err = 2.580e-12 (tol 1e-06)",
+    "PASS losses-vs-finite-diff: max rel err vs finite differences = 7.613e-06 (tol 1e-05)",
+    "PASS update-rate-ratio: max |ratio - t2/t1| = 1.421e-14 (tol 1e-10)",
+    "PASS partials-vs-finite-diff: max rel err of partials = 4.566e-08 (tol 1e-07)",
+    "PASS closed-form-anchors: |dpo-ln2|=0.000e+00 (tol 1e-12), |sft-LlnV|=0.000e+00 (tol 1e-10), kl=0.000e+00 (exact 0)",
+    "PASS softmax-row-gradient: max |row grad sum| = 2.776e-16 (tol 1e-12)",
+    "PASS implicit-reward-identity: max |BT - sigma(beta p)| = 5.551e-17 (tol 1e-10)",
+]
+
+
+def test_check_theory_prints_recorded_lines():
+    code, out, _ = _run(["check-theory", "--seeds", "2"])
+    assert code == 0
+    assert out.splitlines() == CHECK_THEORY_SEEDS_2
 
 
 @pytest.mark.parametrize("seeds", ["0", "-3"])
@@ -215,6 +237,29 @@ def test_experiment_base_checkpoint_round_trip(tmp_path):
                          "--out", str(out2)])
     assert code == 0, err
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _fail(what):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{what} ran on a rejected base checkpoint")
+    return fail
+
+
+@pytest.mark.parametrize("shape", [dict(dim=16, n_blocks=1), dict(dim=64, n_blocks=1),
+                                   dict(dim=16, n_blocks=2, vocab_size=48),
+                                   dict(dim=16, n_blocks=2, latent_dim=5)])
+def test_experiment_rejects_base_checkpoint_of_another_shape(tmp_path, monkeypatch, shape):
+    shape = {"vocab_size": world.VOCAB_SIZE, "latent_dim": world.latent_dim(), **shape}
+    base = tmp_path / "base.json"
+    save_checkpoint(init_params(shape["vocab_size"], shape["dim"], shape["latent_dim"],
+                                n_blocks=shape["n_blocks"]), base)
+    monkeypatch.setattr(training, "self_response_records", _fail("decoding"))
+    monkeypatch.setattr(training, "train", _fail("training"))
+    code, _, err = _run(["experiment", "--dim", "16", "--train-n", "3", "--eval-n", "3",
+                         "--base-ckpt", str(base), "--out", str(tmp_path / "e.json")])
+    assert code == 1
+    assert json.loads(err.strip())["error"] == "ValueError"
+    assert not (tmp_path / "e.json").exists()
 
 
 def test_chair_smoke_and_reproducible(tmp_path):

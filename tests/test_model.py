@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import prefalign.autodiff as ad
 from prefalign.autodiff import Tensor, backward, finite_diff, relative_error
+from prefalign.data import Conversation, Turn
 from prefalign.model import (
     batch_logprob_matrix,
     encode_context,
@@ -17,6 +18,8 @@ from prefalign.model import (
     greedy_decode_batch,
     init_params,
     pack,
+    pack_sample,
+    pack_samples,
     load_checkpoint,
     params_hash,
     prefix_means,
@@ -257,6 +260,43 @@ def test_prefix_means_match_loop_and_finite_diff(seqs, seed):
 ])
 def test_prefix_means_edge_cases(question_lens, answer_lens, masks):
     _check_prefix_means(question_lens, answer_lens, masks, seed=7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(convs=st.lists(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1,
+                               max_size=3), min_size=1, max_size=4),
+       picks=st.lists(st.integers(0, 3), min_size=1, max_size=6), seed=st.integers(0, 2**16))
+def test_prebuilt_samples_assemble_to_pack_of_masked_conversations(convs, picks, seed):
+    # conversations of (question, answer) turn lengths; follow-up
+    # questions are prefix only, so most samples carry a mask
+    rng = np.random.default_rng(seed)
+    params = _params()
+    def tokens(n):
+        return [int(t) for t in rng.integers(0, V, size=n)]
+
+    conversations = [Conversation(rng.normal(size=K), [Turn(tokens(q), tokens(a)) for q, a in turns])
+                     for turns in convs]
+    flat = [c.flatten() for c in conversations]
+    prebuilt = [pack_sample(params, *f) for f in flat]
+    picks = [i % len(conversations) for i in picks]  # repeats and any order, as pretraining draws
+    got = pack_samples(params, np.array([conversations[i].image_latent for i in picks]),
+                       [prebuilt[i] for i in picks])
+    questions, ys, masks = zip(*(flat[i] for i in picks))
+    want = pack(params, [conversations[i].image_latent for i in picks], questions, ys, masks)
+    for name in ("w_tok", "w_img", "targets", "offsets"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_pack_samples_rejects_mismatched_or_empty_input():
+    params = _params()
+    sample = pack_sample(params, [1], [2, 3])
+    for latents, samples in ((np.zeros((2, K)), [sample]), (np.zeros((0, K)), []),
+                             (np.zeros((1, K + 1)), [sample])):
+        with pytest.raises(ValueError):
+            pack_samples(params, latents, samples)
+    with pytest.raises(ValueError, match="mask length"):
+        pack_sample(params, [1], [2, 3], [True])
 
 
 def test_packed_paths_reject_token_ids_outside_vocab():

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefalign.autodiff import finite_diff
 from prefalign import checks
@@ -84,6 +86,30 @@ def test_ratio_point_validation():
         RatioPoint(1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         RatioPoint(1.0, 1.0, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=st.integers(1, 50), lo=st.sampled_from([1e-3, 0.05, 0.2]),
+       hi=st.sampled_from([1.0, 5.0, 20.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+def test_array_points_agree_with_per_point_scalar_calls(points, lo, hi, seed):
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(lo, hi, size=(points, 2))
+    beta = rng.choice([0.1, 0.5, 1.0, 2.0, 3.7], size=points)
+    pt = RatioPoint(t[:, 0], t[:, 1], beta)
+    scalars = [RatioPoint(float(a), float(b), float(c)) for (a, b), c in zip(t, beta)]
+    got = [dpo_loss_t(pt), *dpo_partials(pt), update_rate_ratio(pt)]
+    want = np.array([[dpo_loss_t(p), *dpo_partials(p), update_rate_ratio(p)] for p in scalars]).T
+    for g, w in zip(got, want):
+        assert g.shape == (points,)
+        assert np.all(np.abs(g - w) <= 1e-15 * np.abs(w))
+
+
+def test_array_ratio_point_validation():
+    RatioPoint(np.array([0.5, 1.0]), np.array([2.0, 3.0]), 0.1)
+    for bad in (dict(t1=np.array([1.0, 0.0])), dict(t2=np.array([-1.0, 1.0])),
+                dict(beta=np.array([0.1, 0.0]))):
+        with pytest.raises(ValueError):
+            RatioPoint(**{"t1": np.ones(2), "t2": np.ones(2), "beta": 1.0, **bad})
 
 
 def _log_from_ratios(pairs):

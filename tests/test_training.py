@@ -113,6 +113,17 @@ def test_make_base_model_matches_golden():
     assert sums == pytest.approx(GOLDEN_BASE_SUM_SQUARES, rel=1e-12)
 
 
+# Recorded on the commit before pretraining packed each caption once. At
+# this size the steps draw both QA and caption items, so the hash pins the
+# rng order of both kinds and every float of the packed SGD steps.
+GOLDEN_BASE_HASH = "1816f6229a6e5a0e47a889ee613bbbeb0da7d15dcd0161c5ddc8ace74c42aef4"
+
+
+def test_make_base_model_params_hash_matches_golden():
+    records = world.make_preference_dataset(40, 5)
+    assert params_hash(make_base_model(records, dim=16, steps=200)) == GOLDEN_BASE_HASH
+
+
 # Every StepRecord field of those runs, recorded from the per-sample loop
 # before each batch became one packed graph: (loss, mean_chosen_logprob,
 # mean_rejected_logprob, t1, t2, p_dpo, kl_to_reference).
