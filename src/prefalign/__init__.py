@@ -21,13 +21,12 @@ from .losses import (
     per_token_kl,
     sft_loss,
 )
-from .metrics import CaptionEval, ScoreSheet, aggregate_scores, chair
+from .metrics import CaptionEval, chair
 from .model import ModelParams, encode_context, greedy_decode, init_params, token_logprobs
 from .theory import RatioPoint, bias_trajectory_report, dpo_loss_t, dpo_partials, update_rate_ratio
 from .training import (
     ExperimentSpec,
     TrainConfig,
-    compare_methods,
     cosine_lr,
     make_base_model,
     run_experiment,

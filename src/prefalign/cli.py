@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import checks, metrics, theory, training, world
+from . import checks, metrics, training, world
 from .constructor import (
     RuleBasedOracle,
     balance_yes_no,
@@ -58,17 +58,6 @@ def _build_parser():
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log-csv", help="trajectory CSV path")
 
-    p = sub.add_parser("compare", help="run several methods from a shared init")
-    p.add_argument("--data", required=True)
-    p.add_argument("--methods", default="cont_sft,gt_dpo,nsft")
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--pretrain-steps", type=int, default=300)
-    p.add_argument("--eval-n", type=int, default=100)
-    p.add_argument("--eval-seed", type=int, default=777)
-    p.add_argument("--out-prefix", required=True)
-
     p = sub.add_parser("experiment", help="full continual-alignment comparison")
     spec = training.ExperimentSpec()
     for name in _EXPERIMENT_FLAGS:
@@ -78,10 +67,6 @@ def _build_parser():
     p.add_argument("--out", required=True, help="experiment report JSON")
 
     p = sub.add_parser("chair", help="CHAIR metrics from caption evals JSONL")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("aggregate-scores", help="judge-score aggregation from JSONL")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
 
@@ -152,25 +137,6 @@ def _cmd_train(args):
     return 0
 
 
-def _cmd_compare(args):
-    records = world.read_dataset_jsonl(args.data)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    configs = [training.TrainConfig(method=m, steps=args.steps, seed=args.seed, dim=args.dim)
-               for m in methods]
-    eval_records = world.make_preference_dataset(args.eval_n, args.eval_seed)
-    init_model = training.make_base_model(records, dim=args.dim,
-                                          steps=args.pretrain_steps)
-    report = training.compare_methods(configs, records, eval_records, init_model)
-    training.write_comparison_csv(report, args.out_prefix + ".csv")
-    training.write_comparison_json(report, args.out_prefix + ".json")
-    if "gt_dpo" in report["logs"]:
-        bias = theory.bias_trajectory_report(report["logs"]["gt_dpo"])
-        theory.write_trajectory_csv(bias, args.out_prefix + ".bias.csv")
-        theory.write_trajectory_summary(bias, args.out_prefix + ".bias.json")
-    print(f"comparison written to {args.out_prefix}.csv / .json")
-    return 0
-
-
 def _cmd_experiment(args):
     spec = training.ExperimentSpec(**{name: getattr(args, name) for name in _EXPERIMENT_FLAGS})
     if args.base_ckpt:
@@ -193,23 +159,13 @@ def _cmd_chair(args):
     return 0
 
 
-def _cmd_aggregate_scores(args):
-    sheet = metrics.read_score_sheet_jsonl(args.input)
-    agg = metrics.aggregate_scores(sheet)
-    metrics.write_aggregate_csv(agg, args.out)
-    print(f"aggregates written to {args.out}")
-    return 0
-
-
 _COMMANDS = {
     "check-theory": _cmd_check_theory,
     "gen-world": _cmd_gen_world,
     "construct": _cmd_construct,
     "train": _cmd_train,
-    "compare": _cmd_compare,
     "experiment": _cmd_experiment,
     "chair": _cmd_chair,
-    "aggregate-scores": _cmd_aggregate_scores,
 }
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "RuleBasedOracle",
     "qa_turns_from_clauses",
     "construct_conversation",
-    "ocrvqa_pairs",
     "balance_yes_no",
     "conversation_to_llava_record",
 ]
@@ -152,17 +151,6 @@ def construct_conversation(errors, scene, image_latent, k=5):
     while len(turns) < k:
         turns.append(next(supply))
     return Conversation(image_latent, turns)
-
-
-def ocrvqa_pairs(wrong_answer, correct_answer):
-    """Doubled Q/A pairs for a short-answer mistake: affirm the correct
-    class, deny the predicted one."""
-    if wrong_answer == correct_answer:
-        raise ValueError("answers must differ")
-    return [
-        (f"Is this a {correct_answer} book?", "Yes"),
-        (f"Is this a {wrong_answer} book?", "No"),
-    ]
 
 
 def _is_yes_no(turn):

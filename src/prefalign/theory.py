@@ -13,16 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import write_csv, write_json
-
 __all__ = [
     "RatioPoint",
     "dpo_loss_t",
     "dpo_partials",
     "update_rate_ratio",
     "bias_trajectory_report",
-    "write_trajectory_csv",
-    "write_trajectory_summary",
 ]
 
 
@@ -37,8 +33,8 @@ class RatioPoint:
     beta: float
 
     def __post_init__(self):
-        if any(np.any(np.less_equal(v, 0)) for v in (self.t1, self.t2, self.beta)):
-            raise ValueError("t1, t2 and beta must be strictly positive")
+        if not all(np.all(np.isfinite(v) & (v > 0)) for v in (self.t1, self.t2, self.beta)):
+            raise ValueError("t1, t2 and beta must be finite and strictly positive")
 
 
 def dpo_loss_t(point: RatioPoint):
@@ -89,12 +85,3 @@ def bias_trajectory_report(log, warmup_frac=0.1):
             "fraction_ratio_below_1": frac,
         },
     }
-
-
-def write_trajectory_csv(report, path):
-    cols = ["step", "t1", "t2", "ratio"]
-    write_csv(cols, ([row[c] for c in cols] for row in report["per_step"]), path)
-
-
-def write_trajectory_summary(report, path):
-    write_json(report["summary"], path)

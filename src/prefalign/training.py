@@ -71,10 +71,7 @@ __all__ = [
     "default_experiment_configs",
     "ExperimentSpec",
     "run_experiment",
-    "compare_methods",
     "write_experiment_json",
-    "write_comparison_csv",
-    "write_comparison_json",
     "write_trajectory_log_csv",
 ]
 
@@ -449,7 +446,7 @@ class ExperimentSpec:
         if not 1 <= self.object_pool_size <= len(OBJECTS):
             raise ValueError("object_pool_size out of range")
         lows = dict(train_n=1, eval_n=1, pretrain_n=1, steps=1, batch_size=1,
-                    max_decode_len=1, pretrain_steps=0)
+                    max_decode_len=1, pretrain_steps=0, seed=0, eval_seed=0, pretrain_seed=0)
         for name, low in lows.items():
             if (value := getattr(self, name)) < low:
                 raise ValueError(f"ExperimentSpec.{name} must be >= {low}, got {value}")
@@ -531,43 +528,6 @@ def run_experiment(spec: ExperimentSpec, base_model=None, configs=None):
 def write_experiment_json(result, path):
     """Serialize an experiment report (without the step logs)."""
     write_json({k: v for k, v in result.items() if k != "logs"}, path)
-
-
-def compare_methods(configs, records, eval_records, init_model):
-    """Train each config from the shared initialization and report
-    held-out metrics plus deltas against the untrained baseline."""
-    base = evaluate_model(init_model, eval_records, initial_model=init_model)
-    rows = [{
-        "method": "baseline",
-        "chair_i": base["chair_i"],
-        "delta_chosen_logprob": 0.0,
-        "delta_rejected_logprob": 0.0,
-        "kl_drift": 0.0,
-    }]
-    logs = {}
-    for config in configs:
-        params, log = train(config, records, init_model=init_model)
-        m = evaluate_model(params, eval_records, initial_model=init_model)
-        rows.append({
-            "method": config.method,
-            "chair_i": m["chair_i"],
-            "delta_chosen_logprob": m["mean_chosen_logprob"] - base["mean_chosen_logprob"],
-            "delta_rejected_logprob": m["mean_rejected_logprob"] - base["mean_rejected_logprob"],
-            "kl_drift": m["kl_drift"],
-        })
-        logs[config.method] = log
-    return {"rows": rows, "logs": logs}
-
-
-_REPORT_COLUMNS = ["method", "chair_i", "delta_chosen_logprob", "delta_rejected_logprob", "kl_drift"]
-
-
-def write_comparison_csv(report, path):
-    write_csv(_REPORT_COLUMNS, ([row[c] for c in _REPORT_COLUMNS] for row in report["rows"]), path)
-
-
-def write_comparison_json(report, path):
-    write_json({"rows": report["rows"]}, path)
 
 
 _TRAJECTORY_COLUMNS = ["step", "loss", "lr", "mean_chosen_logprob", "mean_rejected_logprob",

@@ -408,6 +408,8 @@ def make_preference_dataset(n, seed, object_pool=None):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if object_pool is not None:
         object_pool = {int(o) for o in object_pool}
         if not object_pool or any(not 0 <= o < len(OBJECTS) for o in object_pool):

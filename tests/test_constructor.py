@@ -11,7 +11,6 @@ from prefalign.constructor import (
     balance_yes_no,
     construct_conversation,
     conversation_to_llava_record,
-    ocrvqa_pairs,
     qa_turns_from_clauses,
 )
 from prefalign.data import Conversation, Turn, read_jsonl, write_jsonl
@@ -146,25 +145,6 @@ def test_construct_conversation_rejects_bad_k():
     s = world.generate_scene(1)
     with pytest.raises(ValueError):
         construct_conversation([], s, world.featurize(s), k=0)
-
-
-def test_ocrvqa_pairs_verbatim_example():
-    assert ocrvqa_pairs("recipe", "travel") == [
-        ("Is this a travel book?", "Yes"),
-        ("Is this a recipe book?", "No"),
-    ]
-
-
-def test_ocrvqa_pairs_symmetric_swap():
-    fwd = ocrvqa_pairs("recipe", "travel")
-    rev = ocrvqa_pairs("travel", "recipe")
-    assert rev == [("Is this a recipe book?", "Yes"), ("Is this a travel book?", "No")]
-    assert {a for _, a in fwd} == {"Yes", "No"} and len(fwd) == 2
-
-
-def test_ocrvqa_pairs_rejects_identical_answers():
-    with pytest.raises(ValueError):
-        ocrvqa_pairs("travel", "travel")
 
 
 def _yes_no_conversation(n_yes, n_no):

@@ -1,8 +1,6 @@
 """Update-rate-ratio analysis: closed forms, finite differences, and the
 trajectory report; the stacked finite-difference oracle of the loss checks."""
 
-import csv
-import json
 import math
 
 import numpy as np
@@ -21,8 +19,6 @@ from prefalign.theory import (
     dpo_loss_t,
     dpo_partials,
     update_rate_ratio,
-    write_trajectory_csv,
-    write_trajectory_summary,
 )
 
 
@@ -86,6 +82,10 @@ def test_ratio_point_validation():
         RatioPoint(1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         RatioPoint(1.0, 1.0, 0.0)
+    for bad in (math.nan, math.inf):
+        for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                RatioPoint(*args)
 
 
 @settings(max_examples=40, deadline=None)
@@ -107,7 +107,8 @@ def test_array_points_agree_with_per_point_scalar_calls(points, lo, hi, seed):
 def test_array_ratio_point_validation():
     RatioPoint(np.array([0.5, 1.0]), np.array([2.0, 3.0]), 0.1)
     for bad in (dict(t1=np.array([1.0, 0.0])), dict(t2=np.array([-1.0, 1.0])),
-                dict(beta=np.array([0.1, 0.0]))):
+                dict(beta=np.array([0.1, 0.0])), dict(t1=np.array([1.0, np.nan])),
+                dict(t2=np.array([np.inf, 1.0])), dict(beta=np.array([0.1, np.nan]))):
         with pytest.raises(ValueError):
             RatioPoint(**{"t1": np.ones(2), "t2": np.ones(2), "beta": 1.0, **bad})
 
@@ -145,21 +146,6 @@ def test_trajectory_report_skips_non_dpo_steps_and_rejects_empty():
     report = bias_trajectory_report(log)
     assert len(report["per_step"]) == 1
     assert report["per_step"][0]["ratio"] == pytest.approx(0.5)
-
-
-def test_trajectory_writers_round_trip(tmp_path):
-    log = _log_from_ratios([(2.0, 1.0), (4.0, 1.0)])
-    report = bias_trajectory_report(log)
-    csv_path = tmp_path / "traj.csv"
-    json_path = tmp_path / "traj.json"
-    write_trajectory_csv(report, csv_path)
-    write_trajectory_summary(report, json_path)
-    with open(csv_path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["step", "t1", "t2", "ratio"]
-    assert float(rows[1][3]) == pytest.approx(0.5)
-    summary = json.loads(json_path.read_text())
-    assert summary["fraction_ratio_below_1"] == 1.0
 
 
 def _loss_fns(policy, reference, sample, beta):

@@ -1,7 +1,6 @@
 """Continual-alignment training loop: determinism, logging, method
 comparison scaffolding, and the experiment pipeline at toy sizes."""
 
-import json
 import math
 
 import numpy as np
@@ -37,7 +36,6 @@ from prefalign.training import (
     _decode_records,
     batch_loss,
     build_training_views,
-    compare_methods,
     cosine_lr,
     default_experiment_configs,
     evaluate_model,
@@ -46,8 +44,6 @@ from prefalign.training import (
     run_experiment,
     self_response_records,
     train,
-    write_comparison_csv,
-    write_comparison_json,
 )
 
 RECORDS = world.make_preference_dataset(12, 40)
@@ -316,17 +312,6 @@ def test_training_diverges_loudly():
         train(_config(lr=1e18, steps=30), RECORDS)
 
 
-def test_compare_methods_baseline_and_repeatability():
-    init = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=5)
-    eval_records = world.make_preference_dataset(4, 99)
-    configs = [_config(method="cont_sft", steps=2), _config(method="cont_sft", steps=2)]
-    report = compare_methods(configs, RECORDS, eval_records, init)
-    rows = report["rows"]
-    assert rows[0]["method"] == "baseline"
-    assert rows[0]["delta_chosen_logprob"] == 0.0 and rows[0]["kl_drift"] == 0.0
-    assert rows[1] == rows[2]  # same method, same config, same rows
-
-
 def test_make_base_model_deterministic():
     records = world.make_preference_dataset(6, 7)
     a = make_base_model(records, dim=16, steps=3)
@@ -422,7 +407,7 @@ def test_scoring_no_records_fails_loudly():
             score()
 
 
-def test_silent_model_reports_no_chair_i(tmp_path):
+def test_silent_model_reports_no_chair_i():
     # a model that names no object must not score a perfect chair_i of 0.0
     params = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=2)
     params.out.values[:, world.EOS_ID] += 50.0
@@ -432,11 +417,6 @@ def test_silent_model_reports_no_chair_i(tmp_path):
     ev = evaluate_model(params, RECORDS[:4], initial_model=params)
     assert ev["chair_i"] is None and ev["chair_s"] == 0.0
     assert ev["object_recall"] == 0.0 and ev["mean_caption_len"] == 0.0
-    report = compare_methods([], RECORDS, RECORDS[:4], params)
-    write_comparison_csv(report, tmp_path / "cmp.csv")
-    write_comparison_json(report, tmp_path / "cmp.json")
-    assert (tmp_path / "cmp.csv").read_text().splitlines()[1].split(",")[:2] == ["baseline", ""]
-    assert json.loads((tmp_path / "cmp.json").read_text())["rows"][0]["chair_i"] is None
 
 
 def test_default_experiment_configs_cover_methods():
