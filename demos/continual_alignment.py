@@ -14,7 +14,6 @@ contrasts are the stable part).
 Run: python3 demos/continual_alignment.py
 """
 
-from prefalign import world
 from prefalign.training import ExperimentSpec, run_experiment
 
 

@@ -90,6 +90,8 @@ def _cmd_gen_world(args):
 
 
 def _cmd_construct(args):
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     records = world.read_dataset_jsonl(args.input)
     oracle = RuleBasedOracle()
     out_records = []

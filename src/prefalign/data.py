@@ -108,15 +108,12 @@ class Conversation:
         """
         if not self.turns:
             raise ValueError("conversation has no turns")
-        first_q = list(self.turns[0].question)
-        y, mask = [], []
-        for i, turn in enumerate(self.turns):
-            if i > 0:
-                y.extend(turn.question)
-                mask.extend([False] * len(turn.question))
-            y.extend(turn.answer)
-            mask.extend([True] * len(turn.answer))
-        return first_q, y, mask
+        first, *rest = self.turns
+        y, mask = list(first.answer), [True] * len(first.answer)
+        for turn in rest:
+            y += [*turn.question, *turn.answer]
+            mask += [False] * len(turn.question) + [True] * len(turn.answer)
+        return list(first.question), y, mask
 
 
 @dataclass

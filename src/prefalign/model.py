@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import compress
 
 import numpy as np
 
@@ -25,9 +25,6 @@ __all__ = [
     "init_params",
     "encode_context",
     "Batch",
-    "PackedSample",
-    "pack_sample",
-    "pack_samples",
     "pack",
     "prefix_means",
     "batch_logprob_matrix",
@@ -183,70 +180,46 @@ def _token_counts(tokens, lo, hi, vocab_size):
     return csum.take(hi, axis=0) - csum.take(lo, axis=0)
 
 
-class PackedSample(NamedTuple):
-    """One sample's share of a `Batch`, independent of the rest of it, so a
-    sample that recurs can be built once: its prefix tokens (the question,
-    then the answer but its last token) and, per position, how many of
-    those tokens its prefix holds and the answer token it predicts."""
+def pack(params, latents, questions, ys, masks=None):
+    """Pack (image latent, question, answer) triples into one `Batch`.
 
-    tokens: tuple   # (T,)
-    ends: tuple     # (n,) position i's prefix holds tokens[:ends[i]]
-    targets: tuple  # (n,)
-
-
-def pack_sample(params, question, y, mask=None):
-    """The `PackedSample` of one (question, answer) pair; with `mask`,
-    answer token i is a position only where ``mask[i]`` is true. Raises
-    ValueError on an empty question or answer, a mask of the wrong length,
-    or a token id outside [0, V)."""
-    question, y = list(question), list(y)
-    if not question or not y:
-        raise ValueError("question and y must be non-empty")
-    if min(question + y) < 0 or max(question + y) >= params.vocab_size:
-        raise ValueError("token id out of range")
-    if mask is not None and len(mask) != len(y):
-        raise ValueError("mask length must equal |y|")
-    q = len(question)
-    if mask is None:
-        ends, targets = range(q, q + len(y)), y
-    else:
-        keep = [i for i, m in enumerate(mask) if m]
-        ends, targets = [q + i for i in keep], [y[i] for i in keep]
-    return PackedSample(tuple(question + y[:-1]), tuple(ends), tuple(targets))
-
-
-def pack_samples(params, latents, samples):
-    """One `Batch` of `PackedSample`s, sample b over ``latents[b]``. Raises
-    ValueError on no samples, a latent of the wrong size, or a latent count
-    that differs from the sample count."""
+    With `masks`, answer token i of sample b is a position only where
+    ``masks[b][i]`` is true. Raises ValueError on no samples, on unequal
+    counts of latents, questions, answers and masks, a latent of the wrong
+    size, an empty question or answer, a mask of the wrong length, or a
+    token id outside [0, V).
+    """
+    counts = [len(latents), len(questions), len(ys)] + ([] if masks is None else [len(masks)])
+    if len(set(counts)) != 1 or not counts[0]:
+        raise ValueError(f"need >= 1 sample and equal latent, question, y, mask counts: {counts}")
     latents = np.asarray(latents, dtype=np.float64)
     if latents.ndim != 2 or latents.shape[1] != params.latent_dim:
         raise ValueError(f"latent dim {latents.shape[1:]} != ({params.latent_dim},)")
-    if not samples or len(samples) != len(latents):
-        raise ValueError("need one latent, question and y per sample")
-    tokens, lo, ends, targets, sample, offsets = [], [], [], [], [], [0]
-    for b, s in enumerate(samples):  # whole-sample list operations, none per token
-        lo += [len(tokens)] * len(s.ends)
-        tokens += s.tokens
-        ends += s.ends
-        targets += s.targets
-        sample += [b] * len(s.ends)
-        offsets.append(len(targets))
+    # a position's prefix is tokens[lo:lo + end] and its target the token after it
+    tokens, lo, ends, sample, offsets = [], [], [], [], [0]
+    for b, (question, y) in enumerate(zip(questions, ys)):
+        if not len(question) or not len(y):
+            raise ValueError("question and y must be non-empty")
+        positions = range(len(question), len(question) + len(y))
+        if masks is not None:
+            if len(masks[b]) != len(y):
+                raise ValueError("mask length must equal |y|")
+            positions = list(compress(positions, masks[b]))
+        lo += [len(tokens)] * len(positions)
+        ends += positions
+        sample += [b] * len(positions)
+        tokens += question
+        tokens += y
+        offsets.append(len(ends))
+    if min(tokens) < 0 or max(tokens) >= params.vocab_size:
+        raise ValueError("token id out of range")
+    tokens = np.array(tokens, dtype=np.intp)
     lo = np.array(lo, dtype=np.intp)
     hi = lo + np.array(ends, dtype=np.intp)
     n = (hi - lo + 1.0)[:, None]  # the prefix length, image slot included
     return Batch(_token_counts(tokens, lo, hi, params.vocab_size) / n,
-                 latents.take(np.array(sample, dtype=np.intp), axis=0) / n,
-                 np.array(targets, dtype=np.intp), np.array(offsets, dtype=np.intp))
-
-
-def pack(params, latents, questions, ys, masks=None):
-    """Pack (image latent, question, answer) triples into one `Batch`:
-    `pack_sample` of each, then `pack_samples`. With `masks`, answer token
-    i of sample b is a position only where ``masks[b][i]`` is true."""
-    return pack_samples(params, latents, [
-        pack_sample(params, q, y, None if masks is None else masks[b])
-        for b, (q, y) in enumerate(zip(questions, ys))])
+                 latents.take(np.array(sample, dtype=np.intp), axis=0) / n, tokens[hi],
+                 np.array(offsets, dtype=np.intp))
 
 
 def prefix_means(params, batch):

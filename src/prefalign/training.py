@@ -39,8 +39,6 @@ from .model import (
     greedy_decode_batch,
     init_params,
     pack,
-    pack_sample,
-    pack_samples,
     params_hash,
 )
 from .world import (
@@ -112,12 +110,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.steps < 0 or self.batch_size < 1 or self.lr < 0:
-            raise ValueError("need steps >= 0, batch_size >= 1, lr >= 0")
+        lows = dict(steps=0, batch_size=1, lr=0, seed=0, kl_weight=0, construct_k=1)
+        for name, low in lows.items():
+            if (value := getattr(self, name)) < low:
+                raise ValueError(f"TrainConfig.{name} must be >= {low}, got {value}")
         lo, hi = self.yes_no_band
-        if self.beta <= 0 or self.kl_weight < 0 or self.construct_k < 1 or not 0 <= lo <= hi <= 1:
-            raise ValueError("need beta > 0, kl_weight >= 0, construct_k >= 1 and "
-                             "a yes_no_band (lo, hi) with 0 <= lo <= hi <= 1")
+        if self.beta <= 0 or not 0 <= lo <= hi <= 1:
+            raise ValueError("need beta > 0 and a yes_no_band (lo, hi) with 0 <= lo <= hi <= 1")
 
 
 def cosine_lr(step, total, base_lr):
@@ -225,11 +224,15 @@ def train(config: TrainConfig, records, init_model=None):
     """Train one method; deterministic in (config, records, init_model).
 
     Returns (final ModelParams, TrajectoryLog). The reference model is a
-    frozen copy of the initial parameters and is never mutated.
+    frozen copy of the initial parameters and is never mutated. Raises
+    ValueError when `init_model`'s dim or block count is not the config's.
     """
     if init_model is None:
         init_model = init_params(VOCAB_SIZE, config.dim, latent_dim(),
                                  n_blocks=config.n_blocks, seed=config.seed)
+    got, want = (init_model.dim, len(init_model.blocks)), (config.dim, config.n_blocks)
+    if got != want:
+        raise ValueError(f"init_model (dim, n_blocks) = {got}, but the config asks for {want}")
     params = init_model.clone(requires_grad=True)
     reference = init_model.clone(requires_grad=False)
     ref_hash = params_hash(reference)
@@ -290,26 +293,24 @@ def make_base_model(records, dim=64, n_blocks=2, steps=8000, batch_size=16):
     rng = np.random.default_rng(_PRETRAIN_SEED)
     tensors = params.tensors()
     # per record, index 0 is the clean belief and index 1 the noisy one;
-    # each caption item is packed once, here
+    # each caption item is flattened once, here
     clauses = [(list(rec.scene.objects), parse_caption(rec.rejected)) for rec in records]
     latents, captions = [], []
     for s in map(PreferenceRecord.to_sample, records):
         latents.append(s.context.image_latent)
-        captions.append(tuple(pack_sample(params, *s.caption_conversation(y).flatten())
-                              for y in (s.chosen, s.rejected)))
+        captions.append(tuple(s.caption_conversation(y).flatten() for y in (s.chosen, s.rejected)))
     for step in range(steps):
         step_lr = cosine_lr(step, steps, _PRETRAIN_LR)
         idx = rng.integers(0, len(records), size=batch_size)
         items = []
-        for i in idx:
-            i = int(i)
+        for i in idx.tolist():
             noisy = int(rng.random() < _NOISY_FRAC)
             if rng.random() < _QA_FRAC:
                 turns = qa_turns_from_clauses(clauses[i][noisy], rng, int(rng.integers(2, 5)))
-                items.append(pack_sample(params, *Conversation(latents[i], turns).flatten()))
+                items.append(Conversation(latents[i], turns).flatten())
             else:
                 items.append(captions[i][noisy])
-        batch = pack_samples(params, [latents[i] for i in idx], items)
+        batch = pack(params, [latents[i] for i in idx], *zip(*items))
         _sgd_step(tensors, batch_sft_loss(params, batch) / batch_size, step_lr, step)
     return params
 

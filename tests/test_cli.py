@@ -167,6 +167,20 @@ def test_train_config_unknown_key_exits_1(tmp_path):
     assert payload["error"] == "TypeError" and "lr_schedule" in payload["message"]
 
 
+@pytest.mark.parametrize("command, input_flag, message", [
+    ("train", "--data", "TrainConfig.seed must be >= 0, got -1"),
+    ("construct", "--in", "--seed must be >= 0, got -1"),
+], ids=["train", "construct"])
+def test_negative_seed_exits_1_before_reading_input(tmp_path, command, input_flag, message):
+    # the input does not exist, so reading it first would fail another way
+    out = tmp_path / "out.json"
+    code, _, err = _run([command, input_flag, str(tmp_path / "missing.jsonl"), "--seed", "-1",
+                         "--out", str(out)])
+    assert code == 1
+    assert json.loads(err.strip()) == {"error": "ValueError", "message": message}
+    assert not out.exists()
+
+
 def test_experiment_smoke_and_reproducible(tmp_path):
     blobs = []
     for tag in ("1", "2"):

@@ -18,10 +18,6 @@ from prefalign.losses import conversation_sft_loss, nsft_loss
 from prefalign.model import init_params
 from prefalign.world import (
     CAT_COLOR,
-    CAT_COUNT,
-    CAT_FABRICATION,
-    CAT_OMISSION,
-    CAT_OBJECT_SWAP,
     COLORS,
     COUNT_WORDS,
     OBJECTS,

@@ -1,7 +1,6 @@
 """Alignment losses: closed forms, identities, and brute-force oracles."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest

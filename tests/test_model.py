@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import prefalign.autodiff as ad
 from prefalign.autodiff import Tensor, backward, finite_diff, relative_error
-from prefalign.data import Conversation, Turn
 from prefalign.model import (
     batch_logprob_matrix,
     encode_context,
@@ -18,8 +17,6 @@ from prefalign.model import (
     greedy_decode_batch,
     init_params,
     pack,
-    pack_sample,
-    pack_samples,
     load_checkpoint,
     params_hash,
     prefix_means,
@@ -262,41 +259,28 @@ def test_prefix_means_edge_cases(question_lens, answer_lens, masks):
     _check_prefix_means(question_lens, answer_lens, masks, seed=7)
 
 
-@settings(max_examples=40, deadline=None)
-@given(convs=st.lists(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1,
-                               max_size=3), min_size=1, max_size=4),
-       picks=st.lists(st.integers(0, 3), min_size=1, max_size=6), seed=st.integers(0, 2**16))
-def test_prebuilt_samples_assemble_to_pack_of_masked_conversations(convs, picks, seed):
-    # conversations of (question, answer) turn lengths; follow-up
-    # questions are prefix only, so most samples carry a mask
-    rng = np.random.default_rng(seed)
+def test_pack_rejects_inconsistent_input():
     params = _params()
-    def tokens(n):
-        return [int(t) for t in rng.integers(0, V, size=n)]
-
-    conversations = [Conversation(rng.normal(size=K), [Turn(tokens(q), tokens(a)) for q, a in turns])
-                     for turns in convs]
-    flat = [c.flatten() for c in conversations]
-    prebuilt = [pack_sample(params, *f) for f in flat]
-    picks = [i % len(conversations) for i in picks]  # repeats and any order, as pretraining draws
-    got = pack_samples(params, np.array([conversations[i].image_latent for i in picks]),
-                       [prebuilt[i] for i in picks])
-    questions, ys, masks = zip(*(flat[i] for i in picks))
-    want = pack(params, [conversations[i].image_latent for i in picks], questions, ys, masks)
-    for name in ("w_tok", "w_img", "targets", "offsets"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
-def test_pack_samples_rejects_mismatched_or_empty_input():
-    params = _params()
-    sample = pack_sample(params, [1], [2, 3])
-    for latents, samples in ((np.zeros((2, K)), [sample]), (np.zeros((0, K)), []),
-                             (np.zeros((1, K + 1)), [sample])):
-        with pytest.raises(ValueError):
-            pack_samples(params, latents, samples)
-    with pytest.raises(ValueError, match="mask length"):
-        pack_sample(params, [1], [2, 3], [True])
+    one, two = np.zeros((1, K)), np.zeros((2, K))
+    counts = "equal latent, question, y, mask counts"
+    for args, match in (
+        ((np.zeros((0, K)), [], []), r"need >= 1 sample .*\[0, 0, 0\]"),
+        ((one, [[1], [1]], [[2]]), counts),                     # 2 questions, 1 answer
+        ((two, [[1], [1]], [[2]]), counts),                     # 2 questions, 1 answer, 2 latents
+        ((one, [[1], [1]], [[2], [2]]), counts),                # 1 latent for 2 samples
+        ((two, [[1], [1]], [[2], [2]], [[True]]), counts),      # 1 mask for 2 samples
+        ((np.zeros(K), [[1]], [[2]]), counts),                  # a bare latent, not a list of one
+        ((np.zeros((1, K + 1)), [[1]], [[2]]), "latent dim"),
+        ((one, [[]], [[2]]), "non-empty"),
+        ((one, [[1]], [[]]), "non-empty"),
+        ((one, [[1]], [[2, 3]], [[True]]), "mask length"),
+        ((one, [[1]], [[2, 3]], [[True, True, False]]), "mask length"),
+        # an out-of-range last answer token, masked out: never a prefix token or a target
+        ((one, [[1]], [[2, V]], [[True, False]]), "token id out of range"),
+        ((one, [[1]], [[2, -1]], [[True, False]]), "token id out of range"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            pack(params, *args)
 
 
 def test_packed_paths_reject_token_ids_outside_vocab():

@@ -1,6 +1,6 @@
 """Packaging: every third-party module the code imports is declared, the
-record-to-model-input decision stays in one module, and the names the
-benchmark pins exist."""
+record-to-model-input decision stays in one module, the names the
+benchmark pins exist, and every import is read."""
 
 import ast
 import importlib.util
@@ -86,3 +86,31 @@ def test_benchmark_pinned_names_resolve():
             owner = getattr(owner, part, None)
             assert owner is not None, f"perfbench names prefalign.{mod}.{attr}, which is gone"
         assert callable(owner), f"prefalign.{mod}.{attr} is not callable"
+
+
+def _unused_imports(path):
+    """Names an import binds in `path` that no expression reads, apart from
+    `__future__` features and names listed in the module's `__all__`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                   for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_unused_imports():
+    """A lint step: every import is read. `__init__.py` files are skipped,
+    since their imports are the package's re-exports."""
+    paths = [p for d in ("src", "tests", "demos") for p in sorted(ROOT.joinpath(d).rglob("*.py"))
+             if p.name != "__init__.py"]
+    assert len(paths) > 20, "the scan found too few files"
+    unused = {str(p.relative_to(ROOT)): u for p in paths if (u := _unused_imports(p))}
+    assert not unused, f"unused imports (line, name): {unused}"

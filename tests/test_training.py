@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import prefalign.autodiff as ad
-from prefalign import world
+from prefalign import training, world
 from prefalign.autodiff import Tensor, backward, relative_error
 from prefalign.cli import dispatch
 from prefalign.losses import (
@@ -76,11 +76,23 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(steps=-1)
     for bad in (dict(beta=0.0), dict(beta=-1.0), dict(kl_weight=-5.0), dict(construct_k=0),
+                dict(seed=-1), dict(batch_size=0), dict(lr=-1e-3),
                 dict(yes_no_band=(-0.1, 0.5)), dict(yes_no_band=(0.6, 0.4)),
                 dict(yes_no_band=(0.4, 1.5))):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     assert set(METHODS) == {"cont_sft", "gt_dpo", "nsft", "sft_kl", "nsft_kl"}
+
+
+@pytest.mark.parametrize("dim, n_blocks", [(32, 1), (32, 2), (16, 1), (16, 3)])
+def test_train_rejects_init_model_of_another_shape(monkeypatch, dim, n_blocks):
+    def fail(*args, **kwargs):
+        raise AssertionError("training views built for a rejected init_model")
+
+    monkeypatch.setattr(training, "build_training_views", fail)
+    init = init_params(world.VOCAB_SIZE, dim, world.latent_dim(), n_blocks=n_blocks)
+    with pytest.raises(ValueError, match=r"init_model \(dim, n_blocks\) = "):
+        train(_config(dim=16, n_blocks=2), RECORDS, init_model=init)
 
 
 # Recorded from the per-sample training loop before it shared one SGD step
