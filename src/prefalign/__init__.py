@@ -9,7 +9,7 @@ becomes a corrective question-answer turn.
 """
 
 from .autodiff import Tensor, backward, finite_diff, relative_error
-from .data import Conversation, InputContext, PreferenceSample, TrajectoryLog, Turn
+from .data import Conversation, InputContext, PreferenceSample, Turn
 from .losses import (
     DpoConfig,
     bt_probability,
@@ -17,7 +17,6 @@ from .losses import (
     dpo_logit_noref,
     dpo_loss,
     implicit_reward,
-    nsft_loss,
     per_token_kl,
     sft_loss,
 )

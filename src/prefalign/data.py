@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ __all__ = [
     "Turn",
     "Conversation",
     "StepRecord",
-    "TrajectoryLog",
     "write_json",
     "write_jsonl",
     "read_jsonl",
@@ -101,7 +100,8 @@ class Conversation:
         self.image_latent = np.asarray(self.image_latent, dtype=np.float64)
 
     def flatten(self):
-        """Collapse turns into (question0, y, mask) for a single SFT pass.
+        """Collapse turns into one packable row, (image_latent, question0,
+        y, mask), for a single SFT pass.
 
         y concatenates answer/question/answer/... after the first
         question; only answer tokens are loss-masked.
@@ -113,7 +113,7 @@ class Conversation:
         for turn in rest:
             y += [*turn.question, *turn.answer]
             mask += [False] * len(turn.question) + [True] * len(turn.answer)
-        return list(first.question), y, mask
+        return self.image_latent, list(first.question), y, mask
 
 
 @dataclass
@@ -128,18 +128,3 @@ class StepRecord:
     p_dpo: float | None = None
     kl_to_reference: float | None = None
 
-
-@dataclass
-class TrajectoryLog:
-    """Per-step training record consumed by the bias-trajectory report."""
-
-    records: list[StepRecord] = field(default_factory=list)
-
-    def append(self, record: StepRecord):
-        self.records.append(record)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)

@@ -10,7 +10,6 @@ contributes constants only.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,6 @@ __all__ = [
     "sequence_logprob",
     "sft_loss",
     "batch_sft_loss",
-    "pack_conversations",
-    "conversations_sft_loss",
     "dpo_logit",
     "dpo_logit_noref",
     "dpo_margin",
@@ -36,8 +33,6 @@ __all__ = [
     "bt_probability",
     "implicit_reward",
     "conversation_sft_loss",
-    "nsft_conversations",
-    "nsft_loss",
     "sample_kls",
     "per_token_kls",
     "per_token_kl",
@@ -99,18 +94,6 @@ def batch_sft_loss(params, batch):
     return -ad.tsum(_position_logprobs(params, batch))
 
 
-def pack_conversations(params, conversations):
-    """One `Batch` of flattened conversations whose positions are their
-    loss-carrying answer tokens."""
-    questions, ys, masks = zip(*(c.flatten() for c in conversations))
-    return pack(params, [c.image_latent for c in conversations], questions, ys, masks)
-
-
-def conversations_sft_loss(params, conversations):
-    """Sum of the masked SFT losses of many conversations, one packed forward."""
-    return batch_sft_loss(params, pack_conversations(params, conversations))
-
-
 def dpo_margin(lp_c, lp_r, ref_c, ref_r):
     """(lp_c - ref_c) - (lp_r - ref_r): the reference-adjusted log-ratio margin."""
     return (lp_c - ref_c) - (lp_r - ref_r)
@@ -158,23 +141,9 @@ def implicit_reward(policy, cfg: DpoConfig, context, y):
 
 
 def conversation_sft_loss(params, conversation: Conversation):
-    """Masked SFT loss over a flattened multi-turn conversation."""
-    return conversations_sft_loss(params, [conversation])
-
-
-def nsft_conversations(gt_conversation: Conversation, constructed: Conversation | None):
-    """The conversations nSFT trains on: the GT one, then the constructed
-    one. An empty constructed conversation is left out (with a warning)
-    rather than failing."""
-    if constructed is None or not constructed.turns:
-        warnings.warn("constructed conversation empty; using GT term only", stacklevel=3)
-        return [gt_conversation]
-    return [gt_conversation, constructed]
-
-
-def nsft_loss(params, gt_conversation: Conversation, constructed: Conversation | None):
-    """SFT on the GT conversation plus SFT on the constructed one."""
-    return conversations_sft_loss(params, nsft_conversations(gt_conversation, constructed))
+    """Masked SFT loss over a flattened multi-turn conversation: its one
+    packed row, whose positions are the loss-carrying answer tokens."""
+    return batch_sft_loss(params, pack(params, *zip(conversation.flatten())))
 
 
 def sample_kls(batch, lp_policy, lp_reference):

@@ -21,6 +21,9 @@ __all__ = [
     "bias_trajectory_report",
 ]
 
+# Share of a DPO trajectory's first steps that the update-rate summary skips.
+_WARMUP_FRAC = 0.1
+
 
 @dataclass(frozen=True)
 class RatioPoint:
@@ -60,9 +63,9 @@ def update_rate_ratio(point: RatioPoint):
     return np.abs(d1 / d2)
 
 
-def bias_trajectory_report(log, warmup_frac=0.1):
+def bias_trajectory_report(log):
     """Per-step (t1, t2, ratio) plus the fraction of post-warmup steps
-    with t2/t1 < 1.
+    (all but the first `_WARMUP_FRAC` of them) with t2/t1 < 1.
 
     Steps lacking ratio statistics (non-DPO methods) are skipped; the
     log must contain at least one usable step.
@@ -74,7 +77,7 @@ def bias_trajectory_report(log, warmup_frac=0.1):
         {"step": s, "t1": t1, "t2": t2, "ratio": t2 / t1}
         for s, t1, t2 in rows
     ]
-    warmup = int(math.floor(warmup_frac * len(per_step)))
+    warmup = int(math.floor(_WARMUP_FRAC * len(per_step)))
     tail = per_step[warmup:]
     frac = sum(1 for r in tail if r["ratio"] < 1.0) / len(tail) if tail else 0.0
     return {

@@ -8,7 +8,7 @@ per-step quantities the theory probes consume.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -20,14 +20,11 @@ from .constructor import (
     construct_conversation,
     qa_turns_from_clauses,
 )
-from .data import Conversation, StepRecord, TrajectoryLog, write_csv, write_json
+from .data import Conversation, StepRecord, write_csv, write_json
 from .losses import (
     batch_sft_loss,
     dpo_margin,
     dpo_margin_loss,
-    nsft_conversations,
-    pack_conversations,
-    pair_logprobs,
     per_token_kls,
     sample_kls,
     sequence_logprobs,
@@ -128,19 +125,19 @@ def cosine_lr(step, total, base_lr):
 
 @dataclass
 class _SampleView:
-    sample: object                    # PreferenceSample
-    gt_conversation: Conversation
-    constructed: Conversation | None = None
+    sample: object  # PreferenceSample
+    rows: list      # flattened conversations (`Conversation.flatten`), the chosen caption first
     ref_logprob_chosen: float | None = None
     ref_logprob_rejected: float | None = None
 
 
 def build_training_views(records, config: TrainConfig, reference=None):
-    """Precompute per-record training material.
+    """Precompute per-record training material, each row flattened once.
 
-    nSFT methods get a rule-based constructed conversation (yes/no
-    balanced); DPO gets frozen-reference sequence log-probs, so gt_dpo
-    needs `reference` (ValueError without it).
+    Every view's first row is the chosen caption. gt_dpo adds the rejected
+    caption and frozen-reference sequence log-probs, so it needs
+    `reference` (ValueError without it); nSFT methods add a rule-based
+    constructed conversation (yes/no balanced).
     """
     dpo = config.method == "gt_dpo"
     if dpo and reference is None:
@@ -152,13 +149,14 @@ def build_training_views(records, config: TrainConfig, reference=None):
         ref_c, ref_r, _ = _score_pairs(reference, samples)
     views = []
     for r, (rec, sample) in enumerate(zip(records, samples)):
-        view = _SampleView(sample, sample.caption_conversation(sample.chosen))
+        captions = [sample.chosen, sample.rejected] if dpo else [sample.chosen]
+        view = _SampleView(sample, [sample.caption_conversation(y).flatten() for y in captions])
         if needs_construct:
             errors = oracle.identify(rec.rejected, rec.chosen)
             conv = construct_conversation(errors, rec.scene, sample.context.image_latent,
                                           k=config.construct_k)
             lo, hi = config.yes_no_band
-            view.constructed = balance_yes_no(conv, lo, hi, seed=rec.seed)
+            view.rows.append(balance_yes_no(conv, lo, hi, seed=rec.seed).flatten())
         if dpo:
             view.ref_logprob_chosen, view.ref_logprob_rejected = ref_c[r], ref_r[r]
         views.append(view)
@@ -168,15 +166,21 @@ def build_training_views(records, config: TrainConfig, reference=None):
 def batch_loss(params, reference, views, config: TrainConfig):
     """One step's batch-mean loss as one packed graph, plus per-sample
     logging arrays: chosen and rejected sequence log-probs for every
-    method, and t1, t2 and the margin for gt_dpo."""
-    method = config.method
-    n = len(views)
-    contexts = [v.sample.context for v in views]
-    chosen = [v.sample.chosen for v in views]
-    rejected = [v.sample.rejected for v in views]
+    method, and t1, t2 and the margin for gt_dpo.
 
-    if method == "gt_dpo":
-        lp_c, lp_r = pair_logprobs(params, contexts, chosen, rejected)
+    Every method packs its views' rows alike, the n chosen captions first.
+    gt_dpo's loss is the margin between those and the rejected captions
+    after them; the SFT family's is the masked SFT loss summed over every
+    row, plus the KL to the reference on the chosen captions."""
+    n = len(views)
+    rows = [v.rows[0] for v in views] + [r for v in views for r in v.rows[1:]]
+    batch = pack(params, *zip(*rows))
+    lp = batch_logprob_matrix(params, batch)
+    position_lp = ad.take_along_rows(lp, batch.targets)
+    seg = batch.segment_matrix()
+
+    if config.method == "gt_dpo":
+        lp_c, lp_r = ad.matmul(seg[:n], position_lp), ad.matmul(seg[n:], position_lp)
         ref_c = np.array([v.ref_logprob_chosen for v in views])
         ref_r = np.array([v.ref_logprob_rejected for v in views])
         p = dpo_margin(lp_c, lp_r, ref_c, ref_r)
@@ -184,24 +188,15 @@ def batch_loss(params, reference, views, config: TrainConfig):
         return loss, {"lp_c": lp_c.values, "lp_r": lp_r.values, "p_dpo": p.values,
                       "t1": np.exp(lp_c.values - ref_c), "t2": np.exp(lp_r.values - ref_r)}
 
-    if method in ("cont_sft", "sft_kl"):
-        convs = [v.gt_conversation for v in views]
-    else:  # nsft, nsft_kl: the GT conversations first, then the constructed ones
-        pairs = [nsft_conversations(v.gt_conversation, v.constructed) for v in views]
-        convs = [pair[0] for pair in pairs] + [c for pair in pairs for c in pair[1:]]
-    batch = pack_conversations(params, convs)
-    lp = batch_logprob_matrix(params, batch)
-    position_lp = ad.take_along_rows(lp, batch.targets)
     loss = -ad.tsum(position_lp)
-    if method in ("sft_kl", "nsft_kl"):  # KL on the GT caption, the first n samples
-        gt_batch = batch.head(n)
-        gt_lp = lp if len(convs) == n else ad.gather_rows(lp, np.arange(gt_batch.offsets[-1]))
-        kl = sample_kls(gt_batch, gt_lp, batch_logprob_matrix(reference.frozen(), gt_batch))
+    if config.method in ("sft_kl", "nsft_kl"):
+        head = batch.head(n)
+        head_lp = lp if len(rows) == n else ad.gather_rows(lp, np.arange(head.offsets[-1]))
+        kl = sample_kls(head, head_lp, batch_logprob_matrix(reference.frozen(), head))
         loss = ad.add(loss, config.kl_weight * ad.tsum(kl))
-    # the GT conversation is the chosen caption under the caption question
-    lp_c = batch.segment_matrix()[:n] @ position_lp.values
-    lp_r = sequence_logprobs(params.frozen(), contexts, rejected).values
-    return loss / n, {"lp_c": lp_c, "lp_r": lp_r}
+    lp_r = sequence_logprobs(params.frozen(), [v.sample.context for v in views],
+                             [v.sample.rejected for v in views]).values
+    return loss / n, {"lp_c": seg[:n] @ position_lp.values, "lp_r": lp_r}
 
 
 def _sgd_step(tensors, loss, lr, step):
@@ -223,7 +218,7 @@ def _mean(values):
 def train(config: TrainConfig, records, init_model=None):
     """Train one method; deterministic in (config, records, init_model).
 
-    Returns (final ModelParams, TrajectoryLog). The reference model is a
+    Returns (final ModelParams, list of StepRecord). The reference model is a
     frozen copy of the initial parameters and is never mutated. Raises
     ValueError when `init_model`'s dim or block count is not the config's.
     """
@@ -240,7 +235,7 @@ def train(config: TrainConfig, records, init_model=None):
     views = build_training_views(records, config, reference=reference)
     tensors = params.tensors()
     rng = np.random.default_rng(config.seed)
-    log = TrajectoryLog()
+    log = []
     dpo = config.method == "gt_dpo"
 
     for step in range(config.steps):
@@ -310,7 +305,7 @@ def make_base_model(records, dim=64, n_blocks=2, steps=8000, batch_size=16):
                 items.append(Conversation(latents[i], turns).flatten())
             else:
                 items.append(captions[i][noisy])
-        batch = pack(params, [latents[i] for i in idx], *zip(*items))
+        batch = pack(params, *zip(*items))
         _sgd_step(tensors, batch_sft_loss(params, batch) / batch_size, step_lr, step)
     return params
 
@@ -531,9 +526,6 @@ def write_experiment_json(result, path):
     write_json({k: v for k, v in result.items() if k != "logs"}, path)
 
 
-_TRAJECTORY_COLUMNS = ["step", "loss", "lr", "mean_chosen_logprob", "mean_rejected_logprob",
-                       "t1", "t2", "p_dpo", "kl_to_reference"]
-
-
-def write_trajectory_log_csv(log: TrajectoryLog, path):
-    write_csv(_TRAJECTORY_COLUMNS, ([getattr(r, c) for c in _TRAJECTORY_COLUMNS] for r in log), path)
+def write_trajectory_log_csv(log, path):
+    """One CSV row per `StepRecord`, its fields in declaration order."""
+    write_csv([f.name for f in fields(StepRecord)], map(astuple, log), path)

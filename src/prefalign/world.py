@@ -104,6 +104,12 @@ class Scene:
         ids = [o.obj for o in self.objects]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate object ids in scene")
+        bounds = {"obj": (0, len(OBJECTS)), "color": (0, len(COLORS)),
+                  "count": (1, len(COUNT_WORDS) + 1)}
+        for o in self.objects:
+            for name, (lo, hi) in bounds.items():
+                if not lo <= getattr(o, name) < hi:
+                    raise ValueError(f"scene object {name} {getattr(o, name)} outside [{lo}, {hi})")
 
     def object_ids(self):
         return {o.obj for o in self.objects}

@@ -141,6 +141,36 @@ def test_construct_output_matches_recorded_bytes(tmp_path, mode):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CONSTRUCT_SHA256[mode]
 
 
+# sha256 of the checkpoint and the `--log-csv` trajectory of `train --steps 3
+# --seed 0` (batch_size 4, dim 16) on `gen-world --n 8 --seed 3`, recorded
+# before every method's batch became one pack of flattened rows
+TRAIN_SHA256 = {
+    "cont_sft": ("8c4cfa3e8687fef450f73eca171b35455c38e9425a2e1d0be6dbd90688a4d7ae",
+                 "9fe13badc523198aecded8b83b5da3ce124d725cfe805f1f289a74a03ff128cf"),
+    "gt_dpo": ("2923b82098ac394d06c84d428bf89dd3eaed42ff491849fe7902237bd3e08109",
+               "a117fd817aede676cd85b354577bcb3b0bc3a6ed2b51e36b630444774e292964"),
+    "nsft": ("03619a8ee8248d13512a22bc588cc5f90466b5bda2388331d6e98d3fcaa1805f",
+             "af3356ce6ff1275d178f215e516b40f26ce8915d5d011ef6349ffd7f8cfc0782"),
+    "sft_kl": ("542608ff2a75fbee5b0754c8fa5ecd7c6fc0a6cfbd635af1af016e1b79f9fe17",
+               "fc42d9abb048c3d9e696976d643e230e8074cc309d630d0e3f331d15d558c644"),
+    "nsft_kl": ("910e3401622831ad4b93827bbb7328a7d3f335770cc39b3f94277fcc97f9ad45",
+                "b6af671dbfe22d1016e699007dec2754036a817043018c5ca8025120c6c88bba"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(TRAIN_SHA256))
+def test_train_output_matches_recorded_bytes(tmp_path, method):
+    data = _gen_world(tmp_path, "data.jsonl")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"batch_size": 4, "dim": 16}))
+    ckpt, log = tmp_path / "m.json", tmp_path / "log.csv"
+    code, _, err = _run(["train", "--config", str(cfg), "--data", str(data), "--method", method,
+                         "--steps", "3", "--seed", "0", "--out", str(ckpt), "--log-csv", str(log)])
+    assert code == 0, err
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (ckpt, log))
+    assert got == TRAIN_SHA256[method]
+
+
 def test_train_smoke_and_reproducible(tmp_path):
     data = _gen_world(tmp_path, "data.jsonl")
     cfg = tmp_path / "cfg.json"

@@ -14,8 +14,6 @@ from prefalign.constructor import (
     qa_turns_from_clauses,
 )
 from prefalign.data import Conversation, Turn, read_jsonl, write_jsonl
-from prefalign.losses import conversation_sft_loss, nsft_loss
-from prefalign.model import init_params
 from prefalign.world import (
     CAT_COLOR,
     COLORS,
@@ -215,16 +213,6 @@ def test_assemble_append_mode(tmp_path, capsys):
         assert gt["id"] == merged["id"] + "/gt" and constructed["id"] == merged["id"] + "/constructed"
         assert merged["conversations"] == gt["conversations"] + constructed["conversations"]
         assert len(gt["conversations"]) == 2  # one GT caption turn
-
-
-def test_assemble_concat_separate_feeds_nsft_loss():
-    s = world.generate_scene(3)
-    gt = Conversation(world.featurize(s), [Turn(list(world.CAPTION_QUESTION), list(render_caption(s)))])
-    constructed = construct_conversation([], s, world.featurize(s), k=2)
-    params = init_params(world.VOCAB_SIZE, 8, world.latent_dim(), n_blocks=1, seed=0)
-    total = nsft_loss(params, gt, constructed).item()
-    parts = conversation_sft_loss(params, gt).item() + conversation_sft_loss(params, constructed).item()
-    assert total == pytest.approx(parts, abs=1e-12)
 
 
 def test_assemble_rejects_unknown_mode(tmp_path, capsys):

@@ -17,7 +17,6 @@ from prefalign.losses import (
     dpo_logit_noref,
     dpo_loss,
     implicit_reward,
-    nsft_loss,
     per_token_kl,
     sequence_logprob,
     sft_loss,
@@ -179,30 +178,13 @@ def _conversation(seed, n_turns=2):
     return Conversation(rng.normal(size=K), turns)
 
 
-def test_nsft_loss_doubles_when_constructed_equals_gt():
-    params = init_params(V, D, K, n_blocks=1, seed=11, scale=0.3)
-    conv = _conversation(0)
-    want = 2.0 * conversation_sft_loss(params, conv).item()
-    assert abs(nsft_loss(params, conv, conv).item() - want) <= 1e-12
-
-
-def test_nsft_loss_empty_constructed_falls_back_with_warning():
-    params = init_params(V, D, K, n_blocks=1, seed=11, scale=0.3)
-    conv = _conversation(1)
-    empty = Conversation(conv.image_latent, [])
-    gt_only = conversation_sft_loss(params, conv).item()
-    for constructed in (None, empty):
-        with pytest.warns(UserWarning):
-            value = nsft_loss(params, conv, constructed).item()
-        assert abs(value - gt_only) <= 1e-15
-
-
 def test_conversation_sft_loss_decomposes_across_turn_masks():
     params = init_params(V, D, K, n_blocks=1, seed=12, scale=0.3)
     conv = _conversation(2, n_turns=2)
-    first_q, y, mask = conv.flatten()
-    ctx = InputContext(conv.image_latent, first_q)
+    latent, first_q, y, mask = conv.flatten()
+    ctx = InputContext(latent, first_q)
     total = sft_loss(params, ctx, y, mask).item()
+    assert conversation_sft_loss(params, conv).item() == total
     n1 = len(conv.turns[0].answer)
     mask1 = [m if i < n1 else False for i, m in enumerate(mask)]
     mask2 = [m if i >= n1 else False for i, m in enumerate(mask)]

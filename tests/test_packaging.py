@@ -114,3 +114,11 @@ def test_no_unused_imports():
     assert len(paths) > 20, "the scan found too few files"
     unused = {str(p.relative_to(ROOT)): u for p in paths if (u := _unused_imports(p))}
     assert not unused, f"unused imports (line, name): {unused}"
+
+
+def test_readme_library_snippet_runs():
+    """README's ```python block runs as written, in a fresh namespace, so a
+    deleted or renamed public name fails here instead of leaving the docs stale."""
+    blocks = re.findall(r"```python\n(.*?)```", ROOT.joinpath("README.md").read_text(), re.S)
+    assert len(blocks) == 1, f"README has {len(blocks)} python blocks, expected the one snippet"
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme_snippet"})

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from prefalign.autodiff import finite_diff
 from prefalign import checks
 from prefalign.checks import stacked_finite_diff, stacked_losses, tiny_instance
-from prefalign.data import StepRecord, TrajectoryLog
+from prefalign.data import StepRecord
 from prefalign.losses import DpoConfig, dpo_loss, per_token_kl, sft_loss
 from prefalign.theory import (
     RatioPoint,
@@ -114,7 +114,7 @@ def test_array_ratio_point_validation():
 
 
 def _log_from_ratios(pairs):
-    log = TrajectoryLog()
+    log = []
     for i, (t1, t2) in enumerate(pairs):
         log.append(StepRecord(step=i, loss=0.0, lr=0.0, mean_chosen_logprob=0.0,
                               mean_rejected_logprob=0.0, t1=t1, t2=t2, p_dpo=0.0))
@@ -136,7 +136,7 @@ def test_trajectory_report_constant_equal_ratios():
 
 
 def test_trajectory_report_skips_non_dpo_steps_and_rejects_empty():
-    log = TrajectoryLog()
+    log = []
     log.append(StepRecord(step=0, loss=1.0, lr=0.1, mean_chosen_logprob=-1.0,
                           mean_rejected_logprob=-2.0))
     with pytest.raises(ValueError):

@@ -10,14 +10,14 @@ import prefalign.autodiff as ad
 from prefalign import training, world
 from prefalign.autodiff import Tensor, backward, relative_error
 from prefalign.cli import dispatch
+from prefalign.data import InputContext
 from prefalign.losses import (
-    conversation_sft_loss,
-    conversations_sft_loss,
+    batch_sft_loss,
     dpo_margin,
     dpo_margin_loss,
-    nsft_loss,
     per_token_kl,
     sequence_logprob,
+    sft_loss,
 )
 from prefalign.model import (
     batch_logprob_matrix,
@@ -132,6 +132,23 @@ def test_make_base_model_params_hash_matches_golden():
     assert params_hash(make_base_model(records, dim=16, steps=200)) == GOLDEN_BASE_HASH
 
 
+# Recorded before every method's batch became one pack of flattened rows:
+# the final parameters of each method's three steps, every float of them.
+GOLDEN_TRAIN_HASHES = {
+    "cont_sft": "a6f3257225e7f817dfad173548f23e249b6f2dd9d691db1a1615a2bb20c812fe",
+    "gt_dpo": "0670616f884dc636602448355024a43eb45f794024aae162b4f1d717571c05e3",
+    "nsft": "cc9d2c5d5dda0e141bc9433d007082baea4d167674a46473a3b4fa93451fdf35",
+    "sft_kl": "c9fa6f541b2f6deeeef39b0993f2b7738ed801674176d2648bdbce76edaff956",
+    "nsft_kl": "b41bca8974e51e2a9b84215d54ddb328e354d08772ef87a6e204fd64d03b6c10",
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_train_params_hash_matches_golden(method):
+    params, _ = train(_config(method=method), RECORDS)
+    assert params_hash(params) == GOLDEN_TRAIN_HASHES[method]
+
+
 # Every StepRecord field of those runs, recorded from the per-sample loop
 # before each batch became one packed graph: (loss, mean_chosen_logprob,
 # mean_rejected_logprob, t1, t2, p_dpo, kl_to_reference).
@@ -190,10 +207,11 @@ def _per_sample_loss(params, reference, view, config):
         lp_r = sequence_logprob(params, sample.context, sample.rejected)
         p = dpo_margin(lp_c, lp_r, view.ref_logprob_chosen, view.ref_logprob_rejected)
         return dpo_margin_loss(p, config.beta)
-    if config.method in ("cont_sft", "sft_kl"):
-        loss = conversation_sft_loss(params, view.gt_conversation)
-    else:
-        loss = nsft_loss(params, view.gt_conversation, view.constructed)
+    # the SFT family: one graph per row (the chosen caption, then nSFT's
+    # constructed conversation), summed
+    terms = [sft_loss(params, InputContext(latent, question), y, mask)
+             for latent, question, y, mask in view.rows]
+    loss = sum(terms[1:], terms[0])
     if config.method in ("sft_kl", "nsft_kl"):
         loss = loss + config.kl_weight * per_token_kl(params, reference, sample.context, sample.chosen)
     return loss
@@ -228,10 +246,9 @@ def test_pruned_positions_match_masked_full_batch():
     # nSFT conversations: follow-up questions are prefix only, no position
     params = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=0)
     views = build_training_views(RECORDS[:4], _config(method="nsft"))
-    convs = [v.gt_conversation for v in views] + [v.constructed for v in views]
-    pruned = conversations_sft_loss(params, convs)
-    questions, ys, masks = zip(*(c.flatten() for c in convs))
-    full = pack(params, [c.image_latent for c in convs], questions, ys)
+    latents, questions, ys, masks = zip(*[v.rows[0] for v in views], *[v.rows[1] for v in views])
+    pruned = batch_sft_loss(params, pack(params, latents, questions, ys, masks))
+    full = pack(params, latents, questions, ys)
     mask = np.concatenate(masks).astype(np.float64)
     assert 0 < mask.sum() < mask.size
     lp = ad.take_along_rows(batch_logprob_matrix(params, full), full.targets)
@@ -273,10 +290,18 @@ def test_gt_dpo_logs_ratio_statistics_and_sft_does_not():
 
 
 def test_training_views_constructed_only_for_nsft_methods():
-    views_sft = build_training_views(RECORDS, _config(method="cont_sft"))
-    assert all(v.constructed is None for v in views_sft)
-    views_nsft = build_training_views(RECORDS, _config(method="nsft"))
-    assert all(v.constructed is not None and v.constructed.turns for v in views_nsft)
+    # every view's first row is its chosen caption; gt_dpo adds the rejected
+    # caption and nSFT the constructed conversation, which opens with a QA turn
+    reference = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=0, requires_grad=False)
+    for method in ("cont_sft", "gt_dpo", "nsft"):
+        for v in build_training_views(RECORDS, _config(method=method), reference=reference):
+            s = v.sample
+            assert v.rows[0][1:] == (s.context.question, s.chosen, [True] * len(s.chosen))
+            assert len(v.rows) == (1 if method == "cont_sft" else 2)
+            if method == "gt_dpo":
+                assert v.rows[1][1:] == (s.context.question, s.rejected, [True] * len(s.rejected))
+            elif method == "nsft":
+                assert v.rows[1][1] != s.context.question
 
 
 def test_gt_dpo_views_without_reference_fail_early():
@@ -289,7 +314,7 @@ def test_nsft_at_one_constructed_turn_keeps_every_conversation():
     # turn to balance them; erasing them would leave nothing (and warn)
     records = world.make_preference_dataset(50, 0)
     views = build_training_views(records, _config(method="nsft", construct_k=1))
-    assert all(v.constructed.turns for v in views)
+    assert all(len(v.rows) == 2 for v in views)
     train(TrainConfig(method="nsft", construct_k=1, steps=3, dim=8), records)
 
 

@@ -1,6 +1,7 @@
 """Synthetic world: scenes, captions, corruptions, dataset determinism."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,6 +57,10 @@ def test_scene_validation():
         Scene([])
     with pytest.raises(ValueError):
         Scene([SceneObject(1, 0, 1)] * 2)
+    Scene([SceneObject(0, 0, 1), SceneObject(19, 7, 4)])
+    for bad in [(20, 0, 1), (-1, 0, 1), (0, 8, 1), (0, -1, 1), (0, 0, 0), (0, 0, 5)]:
+        with pytest.raises(ValueError, match="outside"):
+            Scene([SceneObject(*bad)])
 
 
 def test_render_single_object_is_one_clause_plus_eos():
@@ -167,6 +172,18 @@ def test_read_dataset_rejects_chosen_that_is_not_the_scene_rendering(tmp_path):
     def edit(doc):
         doc["chosen_tokens"], doc["rejected_tokens"] = doc["rejected_tokens"], doc["chosen_tokens"]
     with pytest.raises(ValueError, match="rendering"):
+        read_dataset_jsonl(_write_edited(tmp_path, edit))
+
+
+@pytest.mark.parametrize("field, triple", [("obj", (25, 0, 1)), ("count", (3, 0, 5)),
+                                            ("color", (3, 9, 1))])
+def test_read_dataset_rejects_scene_attributes_out_of_range(tmp_path, field, triple):
+    # each renders to in-vocabulary ids (25, 0, 1 reads "one red color ."),
+    # so the chosen-caption check alone would let it through
+    def edit(doc):
+        doc["scene"] = [list(triple)]
+        doc["chosen_tokens"] = render_caption(SimpleNamespace(objects=[SceneObject(*triple)]))
+    with pytest.raises(ValueError, match=f"scene object {field} "):
         read_dataset_jsonl(_write_edited(tmp_path, edit))
 
 
