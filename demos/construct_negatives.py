@@ -41,7 +41,7 @@ def main():
               f"{clause_words(err.replacement)!r}")
 
     conv = construct_conversation(errors, rec.scene, sample.context.image_latent, k=5)
-    conv = balance_yes_no(conv, 0.4, 0.6, seed=0)
+    conv = balance_yes_no(conv, 0.4, seed=0)
     print(f"\nconstructed conversation ({len(conv.turns)} turns):")
     for turn in conv.turns:
         print(f"   Q: {words(turn.question):34s} A: {words(turn.answer)}")

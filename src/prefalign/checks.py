@@ -33,18 +33,23 @@ from .theory import RatioPoint, dpo_loss_t, dpo_partials, update_rate_ratio
 
 __all__ = ["tiny_instance", "stacked_losses", "stacked_finite_diff", "run_all_checks", "CHECKS"]
 
-# tiny-instance geometry: smallest shapes the model contract allows
-_V, _D, _K = 16, 8, 4
+# tiny-instance geometry: smallest shapes the model contract allows, and
+# the length of each answer
+_V, _D, _K, _SEQ_LEN = 16, 8, 4, 3
+# central-difference step of the finite-difference oracle
+_FD_EPS = 1e-4
+# seeds of the update-rate ratio and partials sweeps
+_RATIO_SEED, _PARTIALS_SEED = 0, 1
 
 
-def tiny_instance(seed, seq_len=3):
+def tiny_instance(seed):
     """Random policy/reference pair with one preference sample."""
     rng = np.random.default_rng(seed)
     policy = init_params(_V, _D, _K, n_blocks=1, seed=seed, scale=0.5)
     reference = init_params(_V, _D, _K, n_blocks=1, seed=seed + 10_000, scale=0.5, requires_grad=False)
     context = InputContext(rng.normal(size=_K), list(rng.integers(0, _V, size=2)))
-    chosen = [int(t) for t in rng.integers(0, _V, size=seq_len)]
-    rejected = [int(t) for t in rng.integers(0, _V, size=seq_len)]
+    chosen = [int(t) for t in rng.integers(0, _V, size=_SEQ_LEN)]
+    rejected = [int(t) for t in rng.integers(0, _V, size=_SEQ_LEN)]
     if rejected == chosen:
         rejected[0] = (rejected[0] + 1) % _V
     sample = PreferenceSample(context, chosen, rejected)
@@ -131,17 +136,15 @@ def stacked_losses(reference, sample, beta):
     return losses
 
 
-def stacked_finite_diff(policy, reference, sample, beta, eps=1e-4):
+def stacked_finite_diff(policy, reference, sample, beta):
     """Central differences of (sft, dpo, kl) with respect to every policy
     coordinate: three dicts mapping each policy tensor to its gradient.
 
     Each forward stacks up to `_FD_CHUNK` coordinates of one tensor: rows
-    0..m-1 hold +eps on one coordinate each, rows m..2m-1 -eps on the same
-    coordinates, and the other tensors stay unstacked. The reference is
-    never perturbed.
+    0..m-1 hold +`_FD_EPS` on one coordinate each, rows m..2m-1 -`_FD_EPS`
+    on the same coordinates, and the other tensors stay unstacked. The
+    reference is never perturbed.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     losses = stacked_losses(reference, sample, beta)
     frozen = policy.frozen()
     grads = ({}, {}, {})
@@ -152,20 +155,20 @@ def stacked_finite_diff(policy, reference, sample, beta, eps=1e-4):
             idx = np.arange(lo, min(lo + _FD_CHUNK, base.size))
             m = len(idx)
             stack = np.repeat(base.reshape(1, -1), 2 * m, axis=0)
-            stack[np.arange(2 * m), np.tile(idx, 2)] += np.repeat([eps, -eps], m)
+            stack[np.arange(2 * m), np.tile(idx, 2)] += np.repeat([_FD_EPS, -_FD_EPS], m)
             t.values = stack.reshape((2 * m,) + base.shape)
             f = np.stack(losses(frozen))
-            fd[:, idx] = (f[:, :m] - f[:, m:]) / (2.0 * eps)
+            fd[:, idx] = (f[:, :m] - f[:, m:]) / (2.0 * _FD_EPS)
         t.values = base
         for g, row in zip(grads, fd):
             g[leaf] = row.reshape(base.shape)
     return grads
 
 
-def check_losses_vs_finite_diff(seeds=100, tol=1e-5, eps=1e-4):
+def check_losses_vs_finite_diff(seeds=100, tol=1e-5):
     """backward matches the central-difference oracle for every loss.
 
-    The oracle is `stacked_finite_diff`: every +-eps copy of the policy
+    The oracle is `stacked_finite_diff`: every +-`_FD_EPS` copy of the policy
     runs through one batched forward per chunk of coordinates, and all
     three losses are read from the same rows.
     """
@@ -177,8 +180,7 @@ def check_losses_vs_finite_diff(seeds=100, tol=1e-5, eps=1e-4):
         losses = (sft_loss(policy, sample.context, sample.chosen),
                   dpo_loss(policy, cfg, sample),
                   per_token_kl(policy, reference, sample.context, sample.chosen))
-        for loss, g_fd in zip(losses, stacked_finite_diff(policy, reference, sample, cfg.beta,
-                                                          eps=eps)):
+        for loss, g_fd in zip(losses, stacked_finite_diff(policy, reference, sample, cfg.beta)):
             g_b = backward(loss, tensors)
             for t in tensors:
                 # floor=1e-6: below that the FD oracle's roundoff dominates
@@ -193,15 +195,15 @@ def _ratio_sweep(rng, points, lo, hi):
     return RatioPoint(t[:, 0], t[:, 1], np.resize([0.1, 0.5, 1.0, 2.0], points))
 
 
-def check_update_rate_ratio(points=1000, tol=1e-10, seed=0):
+def check_update_rate_ratio(points=1000, tol=1e-10):
     """|dL/dt1 / dL/dt2| == t2/t1 over a random sweep of (t1, t2, beta)."""
-    pt = _ratio_sweep(np.random.default_rng(seed), points, 0.05, 20.0)
+    pt = _ratio_sweep(np.random.default_rng(_RATIO_SEED), points, 0.05, 20.0)
     worst = np.max(np.abs(update_rate_ratio(pt) - pt.t2 / pt.t1))
     return worst <= tol, f"max |ratio - t2/t1| = {worst:.3e} (tol {tol:g})"
 
 
-def check_partials_vs_finite_diff(points=200, tol=1e-7, seed=1):
-    pt = _ratio_sweep(np.random.default_rng(seed), points, 0.2, 5.0)
+def check_partials_vs_finite_diff(points=200, tol=1e-7):
+    pt = _ratio_sweep(np.random.default_rng(_PARTIALS_SEED), points, 0.2, 5.0)
     h = 1e-6
     d1, d2 = dpo_partials(pt)
     fd1 = (dpo_loss_t(RatioPoint(pt.t1 + h, pt.t2, pt.beta))

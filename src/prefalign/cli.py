@@ -44,8 +44,7 @@ def _build_parser():
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--mode", choices=["append", "concat_separate"], default="concat_separate")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--balance-low", type=float, default=0.4)
-    p.add_argument("--balance-high", type=float, default=0.6)
+    p.add_argument("--yes-floor", type=float, default=0.4)
 
     p = sub.add_parser("train", help="train one continual-alignment method")
     p.add_argument("--config", help="JSON file of TrainConfig overrides")
@@ -99,7 +98,7 @@ def _cmd_construct(args):
         sample = rec.to_sample()
         errors = oracle.identify(rec.rejected, rec.chosen)
         conv = construct_conversation(errors, rec.scene, sample.context.image_latent, k=args.k)
-        conv = balance_yes_no(conv, args.balance_low, args.balance_high, seed=args.seed + rec.seed)
+        conv = balance_yes_no(conv, args.yes_floor, seed=args.seed + rec.seed)
         gt = sample.caption_conversation(rec.chosen)
         image_ref = f"seed://{rec.seed}"
         if args.mode == "append":  # short-answer style: one conversation, GT turns first
@@ -123,8 +122,6 @@ def _load_train_config(args):
         v = getattr(args, key, None)
         if v is not None:
             overrides[key] = v
-    if "yes_no_band" in overrides:
-        overrides["yes_no_band"] = tuple(overrides["yes_no_band"])
     return training.TrainConfig(**overrides)
 
 

@@ -57,50 +57,14 @@ class RuleBasedOracle:
 # conversation construction (token-level templates over the synthetic vocab)
 
 
-def _q_exists(obj):
-    return world.words_to_tokens(["is", "there", "a", OBJECTS[obj], "?"])
-
-
-def _q_color(obj):
-    return world.words_to_tokens(["what", "color", "is", "the", OBJECTS[obj], "?"])
-
-
-def _q_count(obj):
-    return world.words_to_tokens(["how", "many", OBJECTS[obj], "?"])
-
-
 def _a(words):
     return world.words_to_tokens(words) + [EOS_ID]
 
 
-def _corrective_turn(error: world.Corruption):
-    cat = error.category
-    if cat in (CAT_FABRICATION, CAT_OBJECT_SWAP):
-        return Turn(_q_exists(error.replacement[0]), _a(["no"]))
-    if cat == CAT_OMISSION:
-        return Turn(_q_exists(error.original[0]), _a(["yes"]))
-    if cat == CAT_COLOR:
-        obj, color, _ = error.original
-        return Turn(_q_color(obj), _a([COLORS[color]]))
-    if cat == CAT_COUNT:
-        obj, _, count = error.original
-        return Turn(_q_count(obj), _a([COUNT_WORDS[count - 1]]))
-    raise ValueError(f"no template for category {cat!r}")
-
-
-def _gt_turns(scene):
-    """Endless GT-grounded turn supply cycling per-object facts."""
-    while True:
-        for o in scene.objects:
-            yield Turn(_q_exists(o.obj), _a(["yes"]))
-            yield Turn(_q_color(o.obj), _a([COLORS[o.color]]))
-            yield Turn(_q_count(o.obj), _a([COUNT_WORDS[o.count - 1]]))
-
-
 # token tables of the QA templates, by object, color and count - 1
-_Q_EXISTS = [_q_exists(o) for o in range(len(OBJECTS))]
-_Q_COLOR = [_q_color(o) for o in range(len(OBJECTS))]
-_Q_COUNT = [_q_count(o) for o in range(len(OBJECTS))]
+_Q_EXISTS = [world.words_to_tokens(["is", "there", "a", o, "?"]) for o in OBJECTS]
+_Q_COLOR = [world.words_to_tokens(["what", "color", "is", "the", o, "?"]) for o in OBJECTS]
+_Q_COUNT = [world.words_to_tokens(["how", "many", o, "?"]) for o in OBJECTS]
 _A_YES, _A_NO = _a(["yes"]), _a(["no"])
 _A_COLOR = [_a([c]) for c in COLORS]
 _A_COUNT = [_a([w]) for w in COUNT_WORDS]
@@ -108,6 +72,30 @@ _A_COUNT = [_a([w]) for w in COUNT_WORDS]
 
 def _table_turn(question, answer):
     return Turn(list(question), list(answer))  # copies: a turn must not alias a table
+
+
+def _corrective_turn(error: world.Corruption):
+    cat = error.category
+    if cat in (CAT_FABRICATION, CAT_OBJECT_SWAP):
+        return _table_turn(_Q_EXISTS[error.replacement[0]], _A_NO)
+    if cat == CAT_OMISSION:
+        return _table_turn(_Q_EXISTS[error.original[0]], _A_YES)
+    if cat == CAT_COLOR:
+        obj, color, _ = error.original
+        return _table_turn(_Q_COLOR[obj], _A_COLOR[color])
+    if cat == CAT_COUNT:
+        obj, _, count = error.original
+        return _table_turn(_Q_COUNT[obj], _A_COUNT[count - 1])
+    raise ValueError(f"no template for category {cat!r}")
+
+
+def _gt_turns(scene):
+    """Endless GT-grounded turn supply cycling per-object facts."""
+    while True:
+        for o in scene.objects:
+            yield _table_turn(_Q_EXISTS[o.obj], _A_YES)
+            yield _table_turn(_Q_COLOR[o.obj], _A_COLOR[o.color])
+            yield _table_turn(_Q_COUNT[o.obj], _A_COUNT[o.count - 1])
 
 
 def qa_turns_from_clauses(clauses, rng, n):
@@ -158,22 +146,25 @@ def _is_yes_no(turn):
     return len(a) >= 1 and a[0] in (_YES, _NO)
 
 
-def balance_yes_no(conversation, target_low, target_high, seed):
-    """Randomly erase 'No' turns until the yes-fraction among yes/no
-    turns lands in [target_low, target_high].
+def balance_yes_no(conversation, yes_floor, seed):
+    """Randomly erase 'No' turns until 'Yes' answers make up at least
+    `yes_floor` of the yes/no turns.
 
-    Only 'No' turns are ever removed, so a conversation with no 'Yes'
-    turn, or with its yes-fraction above the band, is left as it is;
-    deterministic in the seed.
+    Each erasure raises the yes share, and erasing stops at the first
+    share at or above the floor, so the share may end above it: this is
+    a floor, not a band. Only 'No' turns are ever erased, so a
+    conversation with no 'Yes' turn, or already at the floor, is left as
+    it is. Deterministic in the seed; raises ValueError unless
+    0 <= yes_floor <= 1.
     """
-    if not (0.0 <= target_low <= target_high <= 1.0):
-        raise ValueError("need 0 <= target_low <= target_high <= 1")
+    if not 0.0 <= yes_floor <= 1.0:
+        raise ValueError(f"need 0 <= yes_floor <= 1, got {yes_floor}")
     rng = np.random.default_rng(int(seed))
     turns = list(conversation.turns)
     while True:
         answers = [t.answer[0] for t in turns if _is_yes_no(t)]
         n_yes = answers.count(_YES)
-        if not n_yes or n_yes / len(answers) >= target_low:
+        if not n_yes or n_yes / len(answers) >= yes_floor:
             break
         no_turns = [i for i, t in enumerate(turns) if _is_yes_no(t) and t.answer[0] == _NO]
         turns.pop(int(rng.choice(no_turns)))

@@ -84,8 +84,6 @@ def sft_loss(params, context: InputContext, y, mask=None):
     """Cross-entropy over masked answer positions: -sum log pi(y_i|y_<i,x)."""
     if mask is None:
         mask = [True] * len(y)
-    if not any(mask):
-        raise ValueError("mask selects no tokens")
     return batch_sft_loss(params, _pack_contexts(params, [context], [y], [mask]))
 
 

@@ -186,8 +186,8 @@ def pack(params, latents, questions, ys, masks=None):
     With `masks`, answer token i of sample b is a position only where
     ``masks[b][i]`` is true. Raises ValueError on no samples, on unequal
     counts of latents, questions, answers and masks, a latent of the wrong
-    size, an empty question or answer, a mask of the wrong length, or a
-    token id outside [0, V).
+    size, an empty question or answer, a mask of the wrong length or one
+    that selects no position, or a token id outside [0, V).
     """
     counts = [len(latents), len(questions), len(ys)] + ([] if masks is None else [len(masks)])
     if len(set(counts)) != 1 or not counts[0]:
@@ -205,6 +205,8 @@ def pack(params, latents, questions, ys, masks=None):
             if len(masks[b]) != len(y):
                 raise ValueError("mask length must equal |y|")
             positions = list(compress(positions, masks[b]))
+            if not positions:
+                raise ValueError(f"sample {b}'s mask selects no position")
         lo += [len(tokens)] * len(positions)
         ends += positions
         sample += [b] * len(positions)
@@ -326,7 +328,7 @@ def save_checkpoint(params, path):
     write_json(doc, path)
 
 
-def load_checkpoint(path, requires_grad=True):
+def load_checkpoint(path):
     """Read a checkpoint; ValueError on a gap in the block indices, on
     shapes that disagree with each other, or on a non-finite value."""
     with open(path) as fh:
@@ -340,7 +342,7 @@ def load_checkpoint(path, requires_grad=True):
         values = np.array(a["values"], dtype=np.float64).reshape(a["shape"])
         if not np.all(np.isfinite(values)):
             raise ValueError(f"checkpoint tensor {name} has non-finite values")
-        return Tensor(values, requires_grad=requires_grad)
+        return Tensor(values, requires_grad=True)
 
     block_ids = sorted({int(k.split(".")[1]) for k in arrays if k.startswith("blocks.")})
     if block_ids != list(range(len(block_ids))):

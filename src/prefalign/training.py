@@ -102,7 +102,7 @@ class TrainConfig:
     dim: int = 16
     n_blocks: int = 2
     construct_k: int = 5
-    yes_no_band: tuple = (0.4, 0.6)
+    yes_floor: float = 0.4
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -111,9 +111,8 @@ class TrainConfig:
         for name, low in lows.items():
             if (value := getattr(self, name)) < low:
                 raise ValueError(f"TrainConfig.{name} must be >= {low}, got {value}")
-        lo, hi = self.yes_no_band
-        if self.beta <= 0 or not 0 <= lo <= hi <= 1:
-            raise ValueError("need beta > 0 and a yes_no_band (lo, hi) with 0 <= lo <= hi <= 1")
+        if self.beta <= 0 or not 0 <= self.yes_floor <= 1:
+            raise ValueError("need beta > 0 and 0 <= yes_floor <= 1")
 
 
 def cosine_lr(step, total, base_lr):
@@ -137,7 +136,7 @@ def build_training_views(records, config: TrainConfig, reference=None):
     Every view's first row is the chosen caption. gt_dpo adds the rejected
     caption and frozen-reference sequence log-probs, so it needs
     `reference` (ValueError without it); nSFT methods add a rule-based
-    constructed conversation (yes/no balanced).
+    constructed conversation (yes/no balanced to `config.yes_floor`).
     """
     dpo = config.method == "gt_dpo"
     if dpo and reference is None:
@@ -155,8 +154,7 @@ def build_training_views(records, config: TrainConfig, reference=None):
             errors = oracle.identify(rec.rejected, rec.chosen)
             conv = construct_conversation(errors, rec.scene, sample.context.image_latent,
                                           k=config.construct_k)
-            lo, hi = config.yes_no_band
-            view.rows.append(balance_yes_no(conv, lo, hi, seed=rec.seed).flatten())
+            view.rows.append(balance_yes_no(conv, config.yes_floor, seed=rec.seed).flatten())
         if dpo:
             view.ref_logprob_chosen, view.ref_logprob_rejected = ref_c[r], ref_r[r]
         views.append(view)
@@ -357,7 +355,7 @@ def self_response_records(params, records, max_decode_len=16):
     return out
 
 
-def evaluate_model(params, eval_records, initial_model=None, max_decode_len=16):
+def evaluate_model(params, eval_records, initial_model, max_decode_len=16):
     """Held-out metrics: decoded-caption CHAIR, object recall and mean
     caption length (tokens before <eos>), mean chosen/rejected sequence
     log-probs, and per-token KL drift from the initial model.
@@ -380,7 +378,7 @@ def evaluate_model(params, eval_records, initial_model=None, max_decode_len=16):
         "mean_caption_len": _mean([len(c) - (c[-1] == EOS_ID) for c in captions]),
         "mean_chosen_logprob": _mean(chosen),
         "mean_rejected_logprob": _mean(rejected),
-        "kl_drift": _mean(kls) if kls else 0.0,
+        "kl_drift": _mean(kls),
     }
 
 
@@ -467,7 +465,7 @@ def default_experiment_configs(spec: ExperimentSpec):
     ]
 
 
-def run_experiment(spec: ExperimentSpec, base_model=None, configs=None):
+def run_experiment(spec: ExperimentSpec, base_model=None):
     """Full continual-alignment comparison, deterministic in `spec`.
 
     Pretrains (or accepts) a base model with hallucination habits,
@@ -489,14 +487,12 @@ def run_experiment(spec: ExperimentSpec, base_model=None, configs=None):
     injected = make_preference_dataset(spec.train_n, spec.seed, object_pool=pool)
     records = self_response_records(base_model, injected, max_decode_len=spec.max_decode_len)
     eval_records = make_preference_dataset(spec.eval_n, spec.eval_seed)
-    if configs is None:
-        configs = default_experiment_configs(spec)
 
     base_eval = evaluate_model(base_model, eval_records, initial_model=base_model,
                                max_decode_len=spec.max_decode_len)
     base_c, base_r = mean_sequence_logprobs(base_model, records)
     methods, logs = {}, {}
-    for config in configs:
+    for config in default_experiment_configs(spec):
         params, log = train(config, records, init_model=base_model)
         ev = evaluate_model(params, eval_records, initial_model=base_model,
                             max_decode_len=spec.max_decode_len)

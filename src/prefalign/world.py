@@ -259,12 +259,12 @@ def _triple(cl):
     return (cl.obj, cl.color, cl.count)
 
 
-def corrupt(scene, caption, corruption_seed):
+def corrupt(caption, corruption_seed):
     """Inject 1-2 known corruptions into a caption.
 
     Returns (rejected_tokens, corruption list). The rejected caption is
-    always parseable and differs from the chosen one; a single-object
-    scene never receives an omission. Omission is never combined with
+    always parseable and differs from the chosen one; a single-clause
+    caption never receives an omission. Omission is never combined with
     fabrication or swap so the caption diff stays exact.
     """
     rng = np.random.default_rng(int(corruption_seed))
@@ -429,7 +429,7 @@ def make_preference_dataset(n, seed, object_pool=None):
         if object_pool is not None and not all(o.obj in object_pool for o in scene.objects):
             continue
         chosen = render_caption(scene)
-        rejected, corruptions = corrupt(scene, chosen, item_seed + 500_009)
+        rejected, corruptions = corrupt(chosen, item_seed + 500_009)
         records.append(PreferenceRecord(item_seed, scene, chosen, rejected, corruptions))
     return records
 

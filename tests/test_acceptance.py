@@ -117,7 +117,7 @@ def test_error_identification_and_negative_construction():
         conv = construct_conversation(errors, rec.scene, rec.to_sample().context.image_latent, k=5)
         n_yes = sum(1 for t in conv.turns if t.answer[0] == yes_id)
         n_no = sum(1 for t in conv.turns if t.answer[0] == no_id)
-        out = balance_yes_no(conv, 0.4, 0.6, seed=rec.seed)
+        out = balance_yes_no(conv, 0.4, seed=rec.seed)
         if _balance_achievable(n_yes, n_no, 0.4, 0.6):
             kept = [t for t in out.turns if t.answer[0] in (yes_id, no_id)]
             frac = sum(1 for t in kept if t.answer[0] == yes_id) / len(kept)

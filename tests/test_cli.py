@@ -189,12 +189,14 @@ def test_train_smoke_and_reproducible(tmp_path):
 def test_train_config_unknown_key_exits_1(tmp_path):
     data = _gen_world(tmp_path, "data.jsonl")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"lr_schedule": "cosin"}))
-    code, _, err = _run(["train", "--config", str(cfg), "--data", str(data),
-                         "--out", str(tmp_path / "m.json")])
-    assert code == 1
-    payload = json.loads(err.strip())
-    assert payload["error"] == "TypeError" and "lr_schedule" in payload["message"]
+    # yes_no_band is no TrainConfig field: the balancing takes one yes_floor
+    for key, value in (("lr_schedule", "cosin"), ("yes_no_band", [0.4, 0.6])):
+        cfg.write_text(json.dumps({key: value}))
+        code, _, err = _run(["train", "--config", str(cfg), "--data", str(data),
+                             "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        payload = json.loads(err.strip())
+        assert payload["error"] == "TypeError" and key in payload["message"]
 
 
 @pytest.mark.parametrize("command, input_flag, message", [

@@ -1,6 +1,8 @@
 """Negative-supervision construction: error identification, corrective
 conversations, balancing, assembly, and interchange formats."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -156,13 +158,13 @@ def _yes_fraction(conv):
 
 def test_balance_yes_no_all_yes_unchanged():
     conv = _yes_no_conversation(4, 0)
-    out = balance_yes_no(conv, 0.4, 0.6, seed=0)
+    out = balance_yes_no(conv, 0.4, seed=0)
     assert len(out.turns) == 4
 
 
 def test_balance_yes_no_reaches_band():
     conv = _yes_no_conversation(1, 9)
-    out = balance_yes_no(conv, 0.4, 0.6, seed=0)
+    out = balance_yes_no(conv, 0.4, seed=0)
     n_no = sum(1 for t in out.turns if t.answer[0] == _NO)
     assert 1 <= n_no <= 2
     assert 0.4 <= _yes_fraction(out) <= 0.6
@@ -170,8 +172,8 @@ def test_balance_yes_no_reaches_band():
 
 def test_balance_yes_no_deterministic():
     conv = _yes_no_conversation(2, 8)
-    a = balance_yes_no(conv, 0.4, 0.6, seed=7)
-    b = balance_yes_no(conv, 0.4, 0.6, seed=7)
+    a = balance_yes_no(conv, 0.4, seed=7)
+    b = balance_yes_no(conv, 0.4, seed=7)
     assert [(t.question, t.answer) for t in a.turns] == [(t.question, t.answer) for t in b.turns]
 
 
@@ -180,21 +182,44 @@ def test_balance_yes_no_never_removes_yes_or_non_yes_no_turns():
     color_q = Turn(world.words_to_tokens(["what", "color", "is", "the", "cat", "?"]),
                    world.words_to_tokens(["red"]) + [world.EOS_ID])
     conv.turns.append(color_q)
-    out = balance_yes_no(conv, 0.4, 0.6, seed=3)
+    out = balance_yes_no(conv, 0.4, seed=3)
     assert sum(1 for t in out.turns if t.answer[0] == _YES) == 2
     assert any(t.question == color_q.question for t in out.turns)
 
 
 def test_balance_yes_no_keeps_no_turns_it_cannot_balance():
     conv = _yes_no_conversation(0, 3)
-    out = balance_yes_no(conv, 0.4, 0.6, seed=0)
+    out = balance_yes_no(conv, 0.4, seed=0)
     assert [(t.question, t.answer) for t in out.turns] == [(t.question, t.answer) for t in conv.turns]
 
 
 def test_balance_yes_no_validates_band():
     conv = _yes_no_conversation(1, 1)
     with pytest.raises(ValueError):
-        balance_yes_no(conv, 0.8, 0.2, seed=0)
+        balance_yes_no(conv, 1.2, seed=0)
+
+
+# sha256 of the balanced turns of the 500 acceptance records
+# (`make_preference_dataset(500, 123)`) at six floors and k in (1, 5, 9),
+# recorded when the balancing took a (floor, upper edge) band: the same digest
+# at upper edges floor, (floor + 1) / 2 and 1, so the upper edge changed nothing
+BALANCED_TURNS_SHA256 = "e011843a93b2a59a6c750ce0f53a8b48978f22c3d585f2db7bf6057640a36bec"
+
+
+def test_balance_yes_no_matches_recorded_digest():
+    records = world.make_preference_dataset(500, 123)
+    oracle = RuleBasedOracle()
+    convs = {k: [construct_conversation(oracle.identify(r.rejected, r.chosen), r.scene,
+                                        r.to_sample().context.image_latent, k=k)
+                 for r in records] for k in (1, 5, 9)}
+    h = hashlib.sha256()
+    for floor in (0.0, 0.2, 0.4, 0.5, 0.75, 1.0):
+        for k in (1, 5, 9):
+            for rec, conv in zip(records, convs[k]):
+                for t in balance_yes_no(conv, floor, seed=rec.seed).turns:
+                    h.update(bytes(t.question) + b"?" + bytes(t.answer) + b";")
+                h.update(b"|")
+    assert h.hexdigest() == BALANCED_TURNS_SHA256
 
 
 def _construct(tmp_path, mode):

@@ -133,7 +133,7 @@ def test_dpo_logit_noref_is_negated_sft_difference():
 
 
 def test_dpo_logit_with_uniform_reference_differs_by_length_constant():
-    policy, _, sample = tiny_instance(6, seq_len=3)
+    policy, _, sample = tiny_instance(6)
     sample.rejected = sample.rejected + [1]  # make lengths differ
     cfg = DpoConfig(beta=0.1, reference=_zero_params())
     with_ref = dpo_logit(policy, cfg, sample).item()
@@ -190,6 +190,13 @@ def test_conversation_sft_loss_decomposes_across_turn_masks():
     mask2 = [m if i >= n1 else False for i, m in enumerate(mask)]
     parts = sft_loss(params, ctx, y, mask1).item() + sft_loss(params, ctx, y, mask2).item()
     assert abs(total - parts) <= 1e-12
+
+
+def test_conversation_sft_loss_rejects_conversation_without_answer_tokens():
+    # flattens to y = [3] with mask [False]: no position carries loss
+    conv = Conversation(np.zeros(K), [Turn([1, 2], []), Turn([3], [])])
+    with pytest.raises(ValueError, match="sample 0's mask selects no position"):
+        conversation_sft_loss(init_params(V, D, K, n_blocks=1, seed=0), conv)
 
 
 def test_per_token_kl_zero_at_identical_models():

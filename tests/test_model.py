@@ -244,7 +244,9 @@ def _check_prefix_means(question_lens, answer_lens, masks, seed):
 )
 def test_prefix_means_match_loop_and_finite_diff(seqs, seed):
     question_lens, answer_lens, bits = zip(*seqs)
-    masks = [[bool(b >> i & 1) for i in range(n)] for n, b in zip(answer_lens, bits)]
+    # b % (2**n - 1) + 1 spans every mask of length n that selects a position
+    masks = [[bool((b % (2**n - 1) + 1) >> i & 1) for i in range(n)]
+             for n, b in zip(answer_lens, bits)]
     _check_prefix_means(question_lens, answer_lens, masks, seed)
 
 
@@ -253,7 +255,6 @@ def test_prefix_means_match_loop_and_finite_diff(seqs, seed):
     ((1, 1, 1), (1, 1, 1), [[True]] * 3),              # every answer has length 1
     ((3,), (4,), [[True] * 4]),                        # a batch of one
     ((1, 4, 2), (3, 1, 5), [[True] * 3, [True], [True] * 5]),  # ragged lengths
-    ((2, 1), (3, 4), [[False] * 3, [False, True, False, True]]),  # a sample with no position
 ])
 def test_prefix_means_edge_cases(question_lens, answer_lens, masks):
     _check_prefix_means(question_lens, answer_lens, masks, seed=7)
@@ -275,6 +276,7 @@ def test_pack_rejects_inconsistent_input():
         ((one, [[1]], [[]]), "non-empty"),
         ((one, [[1]], [[2, 3]], [[True]]), "mask length"),
         ((one, [[1]], [[2, 3]], [[True, True, False]]), "mask length"),
+        ((two, [[1], [1]], [[2], [2, 3]], [[True], [False, False]]), "sample 1's mask selects no"),
         # an out-of-range last answer token, masked out: never a prefix token or a target
         ((one, [[1]], [[2, V]], [[True, False]]), "token id out of range"),
         ((one, [[1]], [[2, -1]], [[True, False]]), "token id out of range"),

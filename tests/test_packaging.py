@@ -122,3 +122,30 @@ def test_readme_library_snippet_runs():
     blocks = re.findall(r"```python\n(.*?)```", ROOT.joinpath("README.md").read_text(), re.S)
     assert len(blocks) == 1, f"README has {len(blocks)} python blocks, expected the one snippet"
     exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme_snippet"})
+
+
+def _unread_parameters(path):
+    """(line, function, parameter) for every parameter of a `def` in `path`,
+    other than `self` and `cls`, that no expression in its body reads; a
+    read inside a nested function or lambda counts."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [(fn.lineno, fn.name, p.arg) for p in params
+                   if p.arg not in ("self", "cls") and p.arg not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    """A lint step: a parameter no body reads is a settable value that
+    changes nothing, so it goes."""
+    paths = sorted(ROOT.joinpath("src").rglob("*.py"))
+    assert len(paths) > 10, "the scan found too few files"
+    unread = {str(p.relative_to(ROOT)): u for p in paths if (u := _unread_parameters(p))}
+    assert not unread, f"parameters never read (line, function, parameter): {unread}"

@@ -180,7 +180,7 @@ def test_stacked_losses_rows_equal_single_sample_losses(seed):
 def test_stacked_finite_diff_equals_coordinatewise_oracle(seed):
     policy, reference, sample = tiny_instance(seed)
     before = [t.values.copy() for t in policy.tensors() + reference.tensors()]
-    stacked = stacked_finite_diff(policy, reference, sample, 0.2, eps=1e-4)
+    stacked = stacked_finite_diff(policy, reference, sample, 0.2)
     for f, grads in zip(_loss_fns(policy, reference, sample, 0.2), stacked):
         g_fd = finite_diff(f, policy.tensors(), eps=1e-4)
         for t in policy.tensors():

@@ -77,8 +77,7 @@ def test_train_config_validation():
         TrainConfig(steps=-1)
     for bad in (dict(beta=0.0), dict(beta=-1.0), dict(kl_weight=-5.0), dict(construct_k=0),
                 dict(seed=-1), dict(batch_size=0), dict(lr=-1e-3),
-                dict(yes_no_band=(-0.1, 0.5)), dict(yes_no_band=(0.6, 0.4)),
-                dict(yes_no_band=(0.4, 1.5))):
+                dict(yes_floor=-0.1), dict(yes_floor=1.5)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     assert set(METHODS) == {"cont_sft", "gt_dpo", "nsft", "sft_kl", "nsft_kl"}
@@ -439,7 +438,7 @@ def test_kl_drift_is_mean_per_record_per_token_kl():
 
 def test_scoring_no_records_fails_loudly():
     params, _ = _eval_models()
-    for score in (lambda: evaluate_model(params, []), lambda: mean_sequence_logprobs(params, [])):
+    for score in (lambda: evaluate_model(params, [], params), lambda: mean_sequence_logprobs(params, [])):
         with pytest.raises(ValueError, match="need at least one record"):
             score()
 

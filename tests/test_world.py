@@ -96,7 +96,7 @@ def test_corrupt_count_off_by_one_stays_bounded():
     hits = 0
     for seed in range(300):
         s = generate_scene(seed)
-        _, corrs = corrupt(s, render_caption(s), seed + 10_000)
+        _, corrs = corrupt(render_caption(s), seed + 10_000)
         for c in corrs:
             if c.category == CAT_COUNT:
                 hits += 1
@@ -109,7 +109,7 @@ def test_corrupt_fabrication_adds_absent_object():
     hits = 0
     for seed in range(300):
         s = generate_scene(seed)
-        rejected, corrs = corrupt(s, render_caption(s), seed + 20_000)
+        rejected, corrs = corrupt(render_caption(s), seed + 20_000)
         for c in corrs:
             if c.category == CAT_FABRICATION:
                 hits += 1
@@ -122,7 +122,7 @@ def test_corruptions_recoverable_by_caption_diff():
     for seed in range(1000):
         s = generate_scene(seed)
         caption = render_caption(s)
-        rejected, recorded = corrupt(s, caption, seed + 500_009)
+        rejected, recorded = corrupt(caption, seed + 500_009)
         diffed = diff_captions(parse_caption(caption), parse_caption(rejected))
         key = lambda c: (c.category, c.original, c.replacement)
         assert sorted(map(key, diffed)) == sorted(map(key, recorded))
@@ -227,7 +227,7 @@ def test_single_object_scene_never_omitted():
         s = generate_scene(seed)
         if len(s.objects) != 1:
             continue
-        _, corrs = corrupt(s, render_caption(s), seed)
+        _, corrs = corrupt(render_caption(s), seed)
         assert all(c.category != world.CAT_OMISSION for c in corrs)
 
 
