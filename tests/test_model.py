@@ -255,6 +255,7 @@ def test_prefix_means_match_loop_and_finite_diff(seqs, seed):
     ((1, 1, 1), (1, 1, 1), [[True]] * 3),              # every answer has length 1
     ((3,), (4,), [[True] * 4]),                        # a batch of one
     ((1, 4, 2), (3, 1, 5), [[True] * 3, [True], [True] * 5]),  # ragged lengths
+    ((2, 1), (3, 4), [[False, True, False], [False, True, False, True]]),  # masked-out gaps
 ])
 def test_prefix_means_edge_cases(question_lens, answer_lens, masks):
     _check_prefix_means(question_lens, answer_lens, masks, seed=7)
