@@ -11,12 +11,7 @@ import json
 import sys
 
 from . import checks, metrics, training, world
-from .constructor import (
-    RuleBasedOracle,
-    balance_yes_no,
-    construct_conversation,
-    conversation_to_llava_record,
-)
+from .constructor import conversation_to_llava_record, nsft_conversation
 from .data import write_jsonl
 from .model import load_checkpoint, save_checkpoint
 
@@ -92,13 +87,11 @@ def _cmd_construct(args):
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     records = world.read_dataset_jsonl(args.input)
-    oracle = RuleBasedOracle()
     out_records = []
     for rec in records:
         sample = rec.to_sample()
-        errors = oracle.identify(rec.rejected, rec.chosen)
-        conv = construct_conversation(errors, rec.scene, sample.context.image_latent, k=args.k)
-        conv = balance_yes_no(conv, args.yes_floor, seed=args.seed + rec.seed)
+        conv = nsft_conversation(rec, sample.context.image_latent, args.k, args.yes_floor,
+                                 args.seed + rec.seed)
         gt = sample.caption_conversation(rec.chosen)
         image_ref = f"seed://{rec.seed}"
         if args.mode == "append":  # short-answer style: one conversation, GT turns first

@@ -31,6 +31,7 @@ __all__ = [
     "qa_turns_from_clauses",
     "construct_conversation",
     "balance_yes_no",
+    "nsft_conversation",
     "conversation_to_llava_record",
 ]
 
@@ -169,6 +170,16 @@ def balance_yes_no(conversation, yes_floor, seed):
         no_turns = [i for i, t in enumerate(turns) if _is_yes_no(t) and t.answer[0] == _NO]
         turns.pop(int(rng.choice(no_turns)))
     return Conversation(conversation.image_latent, turns)
+
+
+def nsft_conversation(record, image_latent, k, yes_floor, seed):
+    """The constructed conversation nSFT trains on for a `world.PreferenceRecord`:
+    one corrective turn per oracle-identified error of its rejected caption,
+    filled to k turns over `image_latent` (its scene's latent), then yes/no
+    balanced to `yes_floor` with `seed`."""
+    errors = RuleBasedOracle().identify(record.rejected, record.chosen)
+    conv = construct_conversation(errors, record.scene, image_latent, k=k)
+    return balance_yes_no(conv, yes_floor, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Sequence log-probabilities are plain sums over positions; nothing is
 length-normalized, so the reference-free DPO logit is exactly the
-negated difference of the two SFT losses. The batch forms pack many
-sequences into one forward pass (`model.pack`); the single-sample forms
-are batches of one. A reference model enters through `frozen()`, so it
-contributes constants only.
+negated difference of the two SFT losses. Every sequence log-prob and
+KL comes from `packed_logprobs`, one forward of many sequences packed
+by `model.pack`; the single-sample forms are batches of one. A
+reference model enters through `frozen()`, so it contributes constants
+only.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Conversation, InputContext, PreferenceSample
-from .model import ModelParams, batch_logprob_matrix, pack
+from .model import Batch, ModelParams, batch_logprob_matrix, pack
 
 __all__ = [
     "DpoConfig",
+    "packed_logprobs",
     "sequence_logprobs",
     "pair_logprobs",
     "sequence_logprob",
@@ -33,8 +35,6 @@ __all__ = [
     "bt_probability",
     "implicit_reward",
     "conversation_sft_loss",
-    "sample_kls",
-    "per_token_kls",
     "per_token_kl",
 ]
 
@@ -49,47 +49,61 @@ class DpoConfig:
             raise ValueError("beta must be positive")
 
 
-def _pack_contexts(params, contexts, ys, masks=None):
-    return pack(params, [c.image_latent for c in contexts], [c.question for c in contexts], ys,
-                masks)
+def _pack_contexts(params, contexts, ys):
+    return pack(params, [c.image_latent for c in contexts], [c.question for c in contexts], ys)
 
 
-def _position_logprobs(params, batch):
-    """log pi(y_i | y_<i, x) at every packed position, an (N,) tensor."""
-    return ad.take_along_rows(batch_logprob_matrix(params, batch), batch.targets)
+def packed_logprobs(params, batch, n, reference=None):
+    """One forward of a packed `Batch` whose first n samples are the chosen
+    captions: the (N,) position log-probs log pi(y_i | y_<i, x), the (n,)
+    sequence log-probs of samples [0, n) and those of samples [n, B), and,
+    with `reference`, each of the first n samples' mean over its positions of
+    KL(pi(.|prefix) || pi_ref(.|prefix)) as an (n,) tensor (else None). The
+    frozen reference runs on those n samples' rows only."""
+    lp = batch_logprob_matrix(params, batch)
+    position_lp = ad.take_along_rows(lp, batch.targets)
+    seg = batch.segment_matrix()
+    kls = None
+    if reference is not None:
+        m = batch.offsets[n]  # the first n samples' rows, as views
+        head = Batch(batch.w_tok[:m], batch.w_img[:m], batch.targets[:m], batch.offsets[:n + 1])
+        head_lp = lp if n == len(seg) else ad.gather_rows(lp, np.arange(m))
+        terms = ad.mul(ad.texp(head_lp), head_lp - batch_logprob_matrix(reference.frozen(), head))
+        rows = ad.matmul(terms, np.ones(terms.shape[1]))
+        kls = ad.matmul(seg[:n, :m] / np.diff(head.offsets)[:, None], rows)
+    return position_lp, ad.matmul(seg[:n], position_lp), ad.matmul(seg[n:], position_lp), kls
 
 
 def sequence_logprobs(params, contexts, ys):
     """log pi(y_b | x_b) for every sample: a (B,) tensor from one packed forward."""
-    batch = _pack_contexts(params, contexts, ys)
-    return ad.matmul(batch.segment_matrix(), _position_logprobs(params, batch))
+    return packed_logprobs(params, _pack_contexts(params, contexts, ys), len(ys))[1]
 
 
-def pair_logprobs(params, contexts, chosen, rejected):
-    """(log pi(y_c | x), log pi(y_r | x)) for every sample: two (B,)
-    tensors from one packed forward."""
+def pair_logprobs(params, contexts, chosen, rejected, reference=None):
+    """(log pi(y_c | x), log pi(y_r | x), KL) for every sample: (B,) tensors
+    from one packed forward; the KL is each chosen caption's `per_token_kl`
+    from `reference`, or None without one."""
     batch = _pack_contexts(params, list(contexts) * 2, list(chosen) + list(rejected))
-    lp = _position_logprobs(params, batch)
-    seg = batch.segment_matrix()
-    n = len(seg) // 2
-    return ad.matmul(seg[:n], lp), ad.matmul(seg[n:], lp)
+    return packed_logprobs(params, batch, len(chosen), reference)[1:]
 
 
 def sequence_logprob(params, context: InputContext, y):
     """log pi(y | x) as a scalar tensor (sum of per-token log-probs)."""
-    return ad.tsum(_position_logprobs(params, _pack_contexts(params, [context], [y])))
+    return ad.tsum(packed_logprobs(params, _pack_contexts(params, [context], [y]), 1)[0])
 
 
 def sft_loss(params, context: InputContext, y, mask=None):
     """Cross-entropy over masked answer positions: -sum log pi(y_i|y_<i,x)."""
     if mask is None:
         mask = [True] * len(y)
-    return batch_sft_loss(params, _pack_contexts(params, [context], [y], [mask]))
+    return batch_sft_loss(params, pack(params, [context.image_latent], [context.question], [y],
+                                       [mask]))
 
 
 def batch_sft_loss(params, batch):
-    """Cross-entropy summed over every position of a packed `Batch`."""
-    return -ad.tsum(_position_logprobs(params, batch))
+    """Cross-entropy summed over every position of a packed `Batch`. It
+    skips `packed_logprobs`' per-sample sums, about 2% of a pretraining step."""
+    return -ad.tsum(ad.take_along_rows(batch_logprob_matrix(params, batch), batch.targets))
 
 
 def dpo_margin(lp_c, lp_r, ref_c, ref_r):
@@ -108,14 +122,14 @@ def _sample_pair(sample):
 
 def dpo_logit(policy, cfg: DpoConfig, sample: PreferenceSample):
     """log-ratio margin between chosen and rejected (reference included)."""
-    ref_c, ref_r = pair_logprobs(cfg.reference.frozen(), *_sample_pair(sample))
-    lp_c, lp_r = pair_logprobs(policy, *_sample_pair(sample))
+    ref_c, ref_r, _ = pair_logprobs(cfg.reference.frozen(), *_sample_pair(sample))
+    lp_c, lp_r, _ = pair_logprobs(policy, *_sample_pair(sample))
     return ad.tsum(dpo_margin(lp_c, lp_r, ref_c, ref_r))
 
 
 def dpo_logit_noref(policy, sample: PreferenceSample):
     """Reference-free margin: the negated difference of two SFT losses."""
-    lp_c, lp_r = pair_logprobs(policy, *_sample_pair(sample))
+    lp_c, lp_r, _ = pair_logprobs(policy, *_sample_pair(sample))
     return ad.tsum(lp_c - lp_r)
 
 
@@ -144,21 +158,7 @@ def conversation_sft_loss(params, conversation: Conversation):
     return batch_sft_loss(params, pack(params, *zip(conversation.flatten())))
 
 
-def sample_kls(batch, lp_policy, lp_reference):
-    """Per sample, the mean over its positions of KL(pi_policy(.|prefix) ||
-    pi_ref(.|prefix)), from packed (N, V) log-prob rows: a (B,) tensor."""
-    terms = ad.mul(ad.texp(lp_policy), lp_policy - lp_reference)
-    rows = ad.matmul(terms, np.ones(terms.shape[1]))
-    return ad.matmul(batch.segment_matrix() / np.diff(batch.offsets)[:, None], rows)
-
-
-def per_token_kls(policy, reference, contexts, ys):
-    """`per_token_kl` of every sample, one packed forward per model: (B,)."""
-    batch = _pack_contexts(policy, contexts, ys)
-    lp_r = batch_logprob_matrix(reference.frozen(), batch)
-    return sample_kls(batch, batch_logprob_matrix(policy, batch), lp_r)
-
-
 def per_token_kl(policy, reference, context: InputContext, y):
     """Mean over positions of KL(pi_policy(.|prefix) || pi_ref(.|prefix))."""
-    return ad.tsum(per_token_kls(policy, reference, [context], [y]))
+    batch = _pack_contexts(policy, [context], [y])
+    return ad.tsum(packed_logprobs(policy, batch, 1, reference)[3])

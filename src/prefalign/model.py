@@ -94,8 +94,9 @@ class ModelParams:
 
 
 def init_params(vocab_size, dim, latent_dim, n_blocks=2, seed=0, scale=0.1, requires_grad=True):
-    if vocab_size < 16 or dim < 8:
-        raise ValueError("desk-scale floor: vocab_size >= 16, dim >= 8")
+    if vocab_size < 16 or dim < 8 or n_blocks < 0:
+        raise ValueError(f"desk-scale floor: vocab_size >= 16, dim >= 8, n_blocks >= 0; got "
+                         f"{vocab_size}, {dim}, {n_blocks}")
     rng = np.random.default_rng(seed)
 
     def t(shape):
@@ -164,11 +165,6 @@ class Batch:
         """(B, N) 0/1 array S with S[b, i] = 1 on sample b's positions, so
         S @ per-position values sums per sample."""
         return np.repeat(np.eye(len(self.offsets) - 1), np.diff(self.offsets), axis=1)
-
-    def head(self, n):
-        """The first n samples as a `Batch`: views of this one's first rows."""
-        m = self.offsets[n]
-        return Batch(self.w_tok[:m], self.w_img[:m], self.targets[:m], self.offsets[:n + 1])
 
 
 def _token_counts(tokens, lo, hi, vocab_size):

@@ -14,25 +14,19 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import backward
-from .constructor import (
-    RuleBasedOracle,
-    balance_yes_no,
-    construct_conversation,
-    qa_turns_from_clauses,
-)
+from .constructor import nsft_conversation, qa_turns_from_clauses
 from .data import Conversation, StepRecord, write_csv, write_json
 from .losses import (
     batch_sft_loss,
     dpo_margin,
     dpo_margin_loss,
-    per_token_kls,
-    sample_kls,
+    packed_logprobs,
+    pair_logprobs,
     sequence_logprobs,
 )
 from .metrics import CaptionEval, chair, object_recall
 from .theory import bias_trajectory_report
 from .model import (
-    batch_logprob_matrix,
     greedy_decode_batch,
     init_params,
     pack,
@@ -107,7 +101,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        lows = dict(steps=0, batch_size=1, lr=0, seed=0, kl_weight=0, construct_k=1)
+        lows = dict(steps=0, batch_size=1, lr=0, seed=0, kl_weight=0, construct_k=1, n_blocks=0)
         for name, low in lows.items():
             if (value := getattr(self, name)) < low:
                 raise ValueError(f"TrainConfig.{name} must be >= {low}, got {value}")
@@ -142,7 +136,6 @@ def build_training_views(records, config: TrainConfig, reference=None):
     if dpo and reference is None:
         raise ValueError("gt_dpo training views need a reference model")
     needs_construct = config.method in ("nsft", "nsft_kl")
-    oracle = RuleBasedOracle()
     samples = [rec.to_sample() for rec in records]
     if dpo:
         ref_c, ref_r, _ = _score_pairs(reference, samples)
@@ -151,10 +144,9 @@ def build_training_views(records, config: TrainConfig, reference=None):
         captions = [sample.chosen, sample.rejected] if dpo else [sample.chosen]
         view = _SampleView(sample, [sample.caption_conversation(y).flatten() for y in captions])
         if needs_construct:
-            errors = oracle.identify(rec.rejected, rec.chosen)
-            conv = construct_conversation(errors, rec.scene, sample.context.image_latent,
-                                          k=config.construct_k)
-            view.rows.append(balance_yes_no(conv, config.yes_floor, seed=rec.seed).flatten())
+            conv = nsft_conversation(rec, sample.context.image_latent, config.construct_k,
+                                     config.yes_floor, rec.seed)
+            view.rows.append(conv.flatten())
         if dpo:
             view.ref_logprob_chosen, view.ref_logprob_rejected = ref_c[r], ref_r[r]
         views.append(view)
@@ -172,29 +164,24 @@ def batch_loss(params, reference, views, config: TrainConfig):
     row, plus the KL to the reference on the chosen captions."""
     n = len(views)
     rows = [v.rows[0] for v in views] + [r for v in views for r in v.rows[1:]]
-    batch = pack(params, *zip(*rows))
-    lp = batch_logprob_matrix(params, batch)
-    position_lp = ad.take_along_rows(lp, batch.targets)
-    seg = batch.segment_matrix()
+    kl_reference = reference if config.method in ("sft_kl", "nsft_kl") else None
+    position_lp, lp_c, lp_rest, kl = packed_logprobs(params, pack(params, *zip(*rows)), n,
+                                                     kl_reference)
 
     if config.method == "gt_dpo":
-        lp_c, lp_r = ad.matmul(seg[:n], position_lp), ad.matmul(seg[n:], position_lp)
         ref_c = np.array([v.ref_logprob_chosen for v in views])
         ref_r = np.array([v.ref_logprob_rejected for v in views])
-        p = dpo_margin(lp_c, lp_r, ref_c, ref_r)
+        p = dpo_margin(lp_c, lp_rest, ref_c, ref_r)
         loss = ad.tsum(dpo_margin_loss(p, config.beta)) / n
-        return loss, {"lp_c": lp_c.values, "lp_r": lp_r.values, "p_dpo": p.values,
-                      "t1": np.exp(lp_c.values - ref_c), "t2": np.exp(lp_r.values - ref_r)}
+        return loss, {"lp_c": lp_c.values, "lp_r": lp_rest.values, "p_dpo": p.values,
+                      "t1": np.exp(lp_c.values - ref_c), "t2": np.exp(lp_rest.values - ref_r)}
 
     loss = -ad.tsum(position_lp)
-    if config.method in ("sft_kl", "nsft_kl"):
-        head = batch.head(n)
-        head_lp = lp if len(rows) == n else ad.gather_rows(lp, np.arange(head.offsets[-1]))
-        kl = sample_kls(head, head_lp, batch_logprob_matrix(reference.frozen(), head))
+    if kl is not None:
         loss = ad.add(loss, config.kl_weight * ad.tsum(kl))
     lp_r = sequence_logprobs(params.frozen(), [v.sample.context for v in views],
                              [v.sample.rejected for v in views]).values
-    return loss / n, {"lp_c": seg[:n] @ position_lp.values, "lp_r": lp_r}
+    return loss / n, {"lp_c": lp_c.values, "lp_r": lp_r}
 
 
 def _sgd_step(tensors, loss, lr, step):
@@ -242,9 +229,9 @@ def train(config: TrainConfig, records, init_model=None):
         loss, stats = batch_loss(params, reference, batch, config)
         loss_value = _sgd_step(tensors, loss, lr, step)
         del loss  # free this step's graph before the next is built
-        probe = batch[:4]  # KL to the reference, after the update
-        kl = per_token_kls(params.frozen(), reference, [v.sample.context for v in probe],
-                           [v.sample.chosen for v in probe])
+        probe = [v.rows[0] for v in batch[:4]]  # KL to the reference, after the update
+        kl = packed_logprobs(params.frozen(), pack(params, *zip(*probe)), len(probe),
+                             reference)[3]
         log.append(StepRecord(
             step=step,
             loss=loss_value,
@@ -392,18 +379,13 @@ def _score_pairs(params, samples, initial_model=None):
     policy = params.frozen()
     chosen, rejected, kls = [], [], []
     for chunk in _chunks(samples):
-        n, contexts = len(chunk), [s.context for s in chunk] * 2
-        batch = pack(policy, [c.image_latent for c in contexts], [c.question for c in contexts],
-                     [s.chosen for s in chunk] + [s.rejected for s in chunk])
-        lp = batch_logprob_matrix(policy, batch)
-        position_lp = ad.take_along_rows(lp, batch.targets).values
-        seg = batch.segment_matrix()
-        chosen += [float(v) for v in seg[:n] @ position_lp]
-        rejected += [float(v) for v in seg[n:] @ position_lp]
-        if initial_model is not None:
-            head = batch.head(n)
-            kls += list(sample_kls(head, ad.Tensor(lp.values[:len(head.targets)]),
-                                   batch_logprob_matrix(initial_model.frozen(), head)).values)
+        lp_c, lp_r, kl = pair_logprobs(policy, [s.context for s in chunk],
+                                       [s.chosen for s in chunk], [s.rejected for s in chunk],
+                                       reference=initial_model)
+        chosen += lp_c.values.tolist()
+        rejected += lp_r.values.tolist()
+        if kl is not None:
+            kls += kl.values.tolist()
     return chosen, rejected, kls
 
 
@@ -440,7 +422,8 @@ class ExperimentSpec:
         if not 1 <= self.object_pool_size <= len(OBJECTS):
             raise ValueError("object_pool_size out of range")
         lows = dict(train_n=1, eval_n=1, pretrain_n=1, steps=1, batch_size=1,
-                    max_decode_len=1, pretrain_steps=0, seed=0, eval_seed=0, pretrain_seed=0)
+                    max_decode_len=1, pretrain_steps=0, seed=0, eval_seed=0, pretrain_seed=0,
+                    n_blocks=0)
         for name, low in lows.items():
             if (value := getattr(self, name)) < low:
                 raise ValueError(f"ExperimentSpec.{name} must be >= {low}, got {value}")

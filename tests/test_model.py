@@ -375,3 +375,5 @@ def test_init_params_enforces_desk_scale_floor():
         init_params(8, D, K)
     with pytest.raises(ValueError):
         init_params(V, 4, K)
+    with pytest.raises(ValueError, match="n_blocks"):
+        init_params(V, D, K, n_blocks=-1)

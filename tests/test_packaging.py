@@ -1,10 +1,12 @@
 """Packaging: every third-party module the code imports is declared, the
-record-to-model-input decision stays in one module, the names the
-benchmark pins exist, and every import is read."""
+record-to-model-input decision and the scorer each stay in one module,
+the names the benchmark pins exist, every import is read, and the pytest
+settings report failures normally."""
 
 import ast
 import importlib.util
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,13 +42,18 @@ def test_every_third_party_import_is_declared():
     assert not undeclared, f"imported but not declared in pyproject.toml: {sorted(undeclared)}"
 
 
-# A record's model input is `PreferenceRecord.to_sample()` and its caption
-# conversation `PreferenceSample.caption_conversation`; these modules use them.
-_INPUT_BUILDING_NAMES = {"featurize", "CAPTION_QUESTION", "Turn"}
+# A record's model input is `PreferenceRecord.to_sample()`, its caption
+# conversation `PreferenceSample.caption_conversation` and its nSFT
+# conversation `constructor.nsft_conversation`; these modules use them.
+_INPUT_BUILDING_NAMES = {"featurize", "CAPTION_QUESTION", "Turn", "RuleBasedOracle",
+                         "construct_conversation", "balance_yes_no"}
+# Every sequence log-prob and KL of a packed forward is `losses.packed_logprobs`.
+_SCORING_NAMES = {"batch_logprob_matrix", "take_along_rows", "gather_rows", "segment_matrix",
+                  "head"}
 
 
-@pytest.mark.parametrize("module", ["training.py", "cli.py"])
-def test_driver_modules_do_not_build_model_input(module):
+def _names_used(module):
+    """Every imported name, attribute and bare name in a `prefalign` module."""
     tree = ast.parse(ROOT.joinpath("src", "prefalign", module).read_text())
     used = set()
     for node in ast.walk(tree):
@@ -56,7 +63,18 @@ def test_driver_modules_do_not_build_model_input(module):
             used.add(node.attr)
         elif isinstance(node, ast.Name):
             used.add(node.id)
-    assert not used & _INPUT_BUILDING_NAMES, f"{module} uses {sorted(used & _INPUT_BUILDING_NAMES)}"
+    return used
+
+
+@pytest.mark.parametrize("module", ["training.py", "cli.py"])
+def test_driver_modules_do_not_build_model_input(module):
+    used = _names_used(module) & _INPUT_BUILDING_NAMES
+    assert not used, f"{module} uses {sorted(used)}"
+
+
+def test_training_scores_only_through_packed_logprobs():
+    used = _names_used("training.py") & _SCORING_NAMES
+    assert not used, f"training.py uses {sorted(used)}; score through losses.packed_logprobs"
 
 
 def _load_by_path(path):
@@ -149,3 +167,37 @@ def test_every_parameter_is_read():
     assert len(paths) > 10, "the scan found too few files"
     unread = {str(p.relative_to(ROOT)): u for p in paths if (u := _unread_parameters(p))}
     assert not unread, f"parameters never read (line, function, parameter): {unread}"
+
+
+_FAILING_TESTS = """\
+import numpy as np
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_given_fails(x):
+    assert x < 0
+
+
+def test_runtime_warning_fails():
+    np.log(np.zeros(1))
+"""
+
+
+def test_pytest_settings_report_failures_normally(tmp_path):
+    """Under the repo's pytest settings a failing `@given` test ends in a
+    "Falsifying example" report, not in an INTERNALERROR from a warning the
+    hypothesis plugin raises while reporting, and a numpy RuntimeWarning
+    still fails its test."""
+    pytest.importorskip("hypothesis")
+    tmp_path.joinpath("pyproject.toml").write_text(ROOT.joinpath("pyproject.toml").read_text())
+    tmp_path.joinpath("test_failing.py").write_text(_FAILING_TESTS)
+    run = subprocess.run([sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-q",
+                          "test_failing.py"], cwd=tmp_path, capture_output=True, text=True,
+                         timeout=300)
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "INTERNALERROR" not in out, out
+    assert re.search(r"^E +Falsifying example", out, re.M), out
+    assert "FAILED test_failing.py::test_runtime_warning_fails - RuntimeWarning" in out, out
+    assert "2 failed" in out, out

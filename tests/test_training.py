@@ -77,7 +77,7 @@ def test_train_config_validation():
         TrainConfig(steps=-1)
     for bad in (dict(beta=0.0), dict(beta=-1.0), dict(kl_weight=-5.0), dict(construct_k=0),
                 dict(seed=-1), dict(batch_size=0), dict(lr=-1e-3),
-                dict(yes_floor=-0.1), dict(yes_floor=1.5)):
+                dict(yes_floor=-0.1), dict(yes_floor=1.5), dict(n_blocks=-1)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     assert set(METHODS) == {"cont_sft", "gt_dpo", "nsft", "sft_kl", "nsft_kl"}
@@ -467,6 +467,8 @@ def test_experiment_spec_validation():
         ExperimentSpec(object_pool_size=0)
     with pytest.raises(ValueError):
         ExperimentSpec(object_pool_size=len(world.OBJECTS) + 1)
+    with pytest.raises(ValueError, match="ExperimentSpec.n_blocks"):
+        ExperimentSpec(n_blocks=-1)
 
 
 def test_run_experiment_tiny_smoke():
