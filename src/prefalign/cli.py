@@ -10,9 +10,9 @@ import argparse
 import json
 import sys
 
-from . import checks, metrics, training, world
+from . import checks, training, world
 from .constructor import conversation_to_llava_record, nsft_conversation
-from .data import write_jsonl
+from .data import write_json, write_jsonl
 from .model import load_checkpoint, save_checkpoint
 
 # ExperimentSpec fields exposed as `experiment` flags, at the spec's defaults
@@ -37,7 +37,6 @@ def _build_parser():
     p.add_argument("--in", dest="input", required=True, help="dataset JSONL from gen-world")
     p.add_argument("--out", required=True, help="LLaVA-style conversation JSONL")
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--mode", choices=["append", "concat_separate"], default="concat_separate")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--yes-floor", type=float, default=0.4)
 
@@ -59,10 +58,6 @@ def _build_parser():
     p.add_argument("--base-ckpt", help="existing base checkpoint; skips pretraining")
     p.add_argument("--save-base", help="write the pretrained base checkpoint here")
     p.add_argument("--out", required=True, help="experiment report JSON")
-
-    p = sub.add_parser("chair", help="CHAIR metrics from caption evals JSONL")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", required=True)
 
     return parser
 
@@ -94,13 +89,10 @@ def _cmd_construct(args):
                                  args.seed + rec.seed)
         gt = sample.caption_conversation(rec.chosen)
         image_ref = f"seed://{rec.seed}"
-        if args.mode == "append":  # short-answer style: one conversation, GT turns first
-            gt.turns.extend(conv.turns)
-            out_records.append(conversation_to_llava_record(gt, f"scene-{rec.seed}", image_ref))
-        else:  # caption style: the two conversations the nSFT loss consumes separately
-            out_records.append(conversation_to_llava_record(gt, f"scene-{rec.seed}/gt", image_ref))
-            out_records.append(conversation_to_llava_record(conv, f"scene-{rec.seed}/constructed",
-                                                            image_ref))
+        # the two conversations the nSFT loss consumes separately
+        out_records.append(conversation_to_llava_record(gt, f"scene-{rec.seed}/gt", image_ref))
+        out_records.append(conversation_to_llava_record(conv, f"scene-{rec.seed}/constructed",
+                                                        image_ref))
     write_jsonl(out_records, args.out)
     print(f"wrote {len(out_records)} conversations to {args.out}")
     return 0
@@ -138,16 +130,8 @@ def _cmd_experiment(args):
         if args.save_base:
             save_checkpoint(base, args.save_base)
     result = training.run_experiment(spec, base_model=base)
-    training.write_experiment_json(result, args.out)
+    write_json(result, args.out)
     print(f"experiment report written to {args.out}")
-    return 0
-
-
-def _cmd_chair(args):
-    evals = metrics.read_caption_evals_jsonl(args.input)
-    result = metrics.chair(evals)
-    metrics.write_chair_csv(result, args.out)
-    print(f"chair metrics written to {args.out}")
     return 0
 
 
@@ -157,7 +141,6 @@ _COMMANDS = {
     "construct": _cmd_construct,
     "train": _cmd_train,
     "experiment": _cmd_experiment,
-    "chair": _cmd_chair,
 }
 
 

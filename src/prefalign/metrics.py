@@ -4,15 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .data import read_jsonl, write_csv
-
 __all__ = [
     "CaptionEval",
     "ChairResult",
     "chair",
     "object_recall",
-    "read_caption_evals_jsonl",
-    "write_chair_csv",
 ]
 
 
@@ -32,16 +28,14 @@ class CaptionEval:
 class ChairResult:
     chair_i: float | None  # None when no objects were mentioned at all
     chair_s: float
-    chair_avg: float | None
 
 
 def chair(evals):
     """CHAIR over a caption collection.
 
-    chair_i = hallucinated mentions / all mentions, chair_s = sentences
-    with at least one hallucinated object / all sentences, and their
-    average. With zero mentions chair_i (and the average) are reported
-    as absent while chair_s is still computed.
+    chair_i = hallucinated mentions / all mentions and chair_s = sentences
+    with at least one hallucinated object / all sentences. With zero
+    mentions chair_i is reported as absent while chair_s is still computed.
     """
     n_sentences = sum(len(e.mentioned) for e in evals)
     if n_sentences == 0:
@@ -58,9 +52,8 @@ def chair(evals):
                 bad_sentences += 1
     chair_s = bad_sentences / n_sentences
     if mentions == 0:
-        return ChairResult(None, chair_s, None)
-    chair_i = hallucinated / mentions
-    return ChairResult(chair_i, chair_s, (chair_i + chair_s) / 2.0)
+        return ChairResult(None, chair_s)
+    return ChairResult(hallucinated / mentions, chair_s)
 
 
 def object_recall(evals):
@@ -72,12 +65,3 @@ def object_recall(evals):
         return None
     return sum(len(e.ground_truth.intersection(set().union(*e.mentioned))) for e in evals) / total
 
-
-def read_caption_evals_jsonl(path):
-    return [CaptionEval(mentioned=d["mentioned"], ground_truth=d["ground_truth"])
-            for d in read_jsonl(path)]
-
-
-def write_chair_csv(result: ChairResult, path):
-    write_csv(["chair_i", "chair_s", "chair_avg"],
-              [[result.chair_i, result.chair_s, result.chair_avg]], path)

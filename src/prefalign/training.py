@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import backward
 from .constructor import nsft_conversation, qa_turns_from_clauses
-from .data import Conversation, StepRecord, write_csv, write_json
+from .data import Conversation, StepRecord, write_csv
 from .losses import (
     batch_sft_loss,
     dpo_margin,
@@ -60,7 +60,6 @@ __all__ = [
     "default_experiment_configs",
     "ExperimentSpec",
     "run_experiment",
-    "write_experiment_json",
     "write_trajectory_log_csv",
 ]
 
@@ -101,10 +100,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        lows = dict(steps=0, batch_size=1, lr=0, seed=0, kl_weight=0, construct_k=1, n_blocks=0)
+        lows = dict(steps=0, batch_size=1, lr=0, seed=0, kl_weight=0, construct_k=1, n_blocks=0,
+                    dim=8)
         for name, low in lows.items():
             if (value := getattr(self, name)) < low:
                 raise ValueError(f"TrainConfig.{name} must be >= {low}, got {value}")
+        for name in ("lr", "beta", "kl_weight"):  # NaN passes every comparison
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"TrainConfig.{name} must be finite, got {value}")
         if self.beta <= 0 or not 0 <= self.yes_floor <= 1:
             raise ValueError("need beta > 0 and 0 <= yes_floor <= 1")
 
@@ -423,7 +426,7 @@ class ExperimentSpec:
             raise ValueError("object_pool_size out of range")
         lows = dict(train_n=1, eval_n=1, pretrain_n=1, steps=1, batch_size=1,
                     max_decode_len=1, pretrain_steps=0, seed=0, eval_seed=0, pretrain_seed=0,
-                    n_blocks=0)
+                    n_blocks=0, dim=8)
         for name, low in lows.items():
             if (value := getattr(self, name)) < low:
                 raise ValueError(f"ExperimentSpec.{name} must be >= {low}, got {value}")
@@ -474,7 +477,7 @@ def run_experiment(spec: ExperimentSpec, base_model=None):
     base_eval = evaluate_model(base_model, eval_records, initial_model=base_model,
                                max_decode_len=spec.max_decode_len)
     base_c, base_r = mean_sequence_logprobs(base_model, records)
-    methods, logs = {}, {}
+    methods = {}
     for config in default_experiment_configs(spec):
         params, log = train(config, records, init_model=base_model)
         ev = evaluate_model(params, eval_records, initial_model=base_model,
@@ -489,20 +492,14 @@ def run_experiment(spec: ExperimentSpec, base_model=None):
             report = bias_trajectory_report(log)
             entry["fraction_ratio_below_1"] = report["summary"]["fraction_ratio_below_1"]
         methods[config.method] = entry
-        logs[config.method] = log
+        del params, log  # free this method's model before the next one trains
     n_self = sum(1 for a, b in zip(records, injected) if a.rejected != b.rejected)
     return {
         "spec": asdict(spec),
         "n_self_response": n_self,
         "base_eval": base_eval,
         "methods": methods,
-        "logs": logs,
     }
-
-
-def write_experiment_json(result, path):
-    """Serialize an experiment report (without the step logs)."""
-    write_json({k: v for k, v in result.items() if k != "logs"}, path)
 
 
 def write_trajectory_log_csv(log, path):

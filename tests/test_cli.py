@@ -1,6 +1,7 @@
 """Command-line interface: argument handling, smoke runs of every
 subcommand at toy sizes, and byte-level reproducibility of artifacts."""
 
+import csv
 import hashlib
 import io
 import json
@@ -30,11 +31,11 @@ def test_unknown_subcommand_is_usage_error():
     assert code == 2
 
 
-def test_help_lists_exactly_the_six_subcommands():
+def test_help_lists_exactly_the_five_subcommands():
     code, out, _ = _run(["--help"])
     assert code == 0
-    assert "{check-theory,gen-world,construct,train,experiment,chair}" in out
-    for removed in ("compare", "aggregate-scores"):
+    assert "{check-theory,gen-world,construct,train,experiment}" in out
+    for removed in ("compare", "aggregate-scores", "chair"):
         assert _run([removed])[0] == 2
 
 
@@ -114,7 +115,7 @@ def test_construct_smoke_and_reproducible(tmp_path):
     for name in ("c1.jsonl", "c2.jsonl"):
         path = tmp_path / name
         code, _, err = _run(["construct", "--in", str(data), "--out", str(path),
-                             "--k", "3", "--mode", "concat_separate", "--seed", "1"])
+                             "--k", "3", "--seed", "1"])
         assert code == 0, err
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
@@ -123,22 +124,22 @@ def test_construct_smoke_and_reproducible(tmp_path):
     assert all("conversations" in r for r in records)
 
 
-# sha256 of `construct --k 3 --seed 1` on `gen-world --n 8 --seed 3`,
-# recorded before the GT conversation came from `PreferenceSample`
+# sha256 of `construct --k 3 --seed 1` on `gen-world --n 8 --seed 3`, keyed
+# by layout, recorded before the GT conversation came from `PreferenceSample`;
+# concat_separate (GT then constructed conversation) is the only layout left
 CONSTRUCT_SHA256 = {
-    "append": "87b9908ce124c946cebcdb9e8f61bcb50ad12eefdf474cc283c11b7adf10d0ec",
     "concat_separate": "4678342f611eea1b41ca83a3e211517f9a026cfed8787ee8797ddc77685806ea",
 }
 
 
-@pytest.mark.parametrize("mode", sorted(CONSTRUCT_SHA256))
-def test_construct_output_matches_recorded_bytes(tmp_path, mode):
+@pytest.mark.parametrize("layout", sorted(CONSTRUCT_SHA256))
+def test_construct_output_matches_recorded_bytes(tmp_path, layout):
     data = _gen_world(tmp_path, "data.jsonl")
     path = tmp_path / "c.jsonl"
     code, _, err = _run(["construct", "--in", str(data), "--out", str(path),
-                         "--k", "3", "--mode", mode, "--seed", "1"])
+                         "--k", "3", "--seed", "1"])
     assert code == 0, err
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == CONSTRUCT_SHA256[mode]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CONSTRUCT_SHA256[layout]
 
 
 # sha256 of the checkpoint and the `--log-csv` trajectory of `train --steps 3
@@ -169,6 +170,10 @@ def test_train_output_matches_recorded_bytes(tmp_path, method):
     assert code == 0, err
     got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (ckpt, log))
     assert got == TRAIN_SHA256[method]
+    with open(log, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # only gt_dpo logs t1; None is written as an empty cell
+    assert len(rows) == 3 and all((r["t1"] == "") == (method != "gt_dpo") for r in rows)
 
 
 def test_train_smoke_and_reproducible(tmp_path):
@@ -197,6 +202,18 @@ def test_train_config_unknown_key_exits_1(tmp_path):
         assert code == 1
         payload = json.loads(err.strip())
         assert payload["error"] == "TypeError" and key in payload["message"]
+
+
+def test_train_non_finite_config_exits_1_without_checkpoint(tmp_path):
+    data = _gen_world(tmp_path, "data.jsonl")
+    cfg, ckpt = tmp_path / "cfg.json", tmp_path / "m.json"
+    cfg.write_text('{"lr": NaN}')
+    code, _, err = _run(["train", "--config", str(cfg), "--data", str(data), "--steps", "1",
+                         "--out", str(ckpt)])
+    assert code == 1
+    assert json.loads(err.strip()) == {"error": "ValueError",
+                                       "message": "TrainConfig.lr must be finite, got nan"}
+    assert not ckpt.exists()
 
 
 @pytest.mark.parametrize("command, input_flag, message", [
@@ -233,6 +250,7 @@ def test_experiment_smoke_and_reproducible(tmp_path):
     ("steps", 0, "--steps"), ("pretrain_steps", -5, "--pretrain-steps"),
     ("batch_size", 0, None), ("max_decode_len", 0, None),
     ("seed", -1, "--seed"), ("eval_seed", -5, "--eval-seed"), ("pretrain_seed", -1, None),
+    ("dim", 4, "--dim"),
 ])
 def test_experiment_bad_size_fails_before_pretraining(tmp_path, monkeypatch, field, bad, flag):
     with pytest.raises(ValueError, match=f"ExperimentSpec.{field} must be"):
@@ -298,15 +316,3 @@ def test_experiment_rejects_base_checkpoint_of_another_shape(tmp_path, monkeypat
     assert json.loads(err.strip())["error"] == "ValueError"
     assert not (tmp_path / "e.json").exists()
 
-
-def test_chair_smoke_and_reproducible(tmp_path):
-    evals = tmp_path / "evals.jsonl"
-    evals.write_text('{"mentioned": [[1, 2, 3]], "ground_truth": [1, 2]}\n'
-                     '{"mentioned": [[1]], "ground_truth": [1]}\n')
-    outs = []
-    for name in ("r1.csv", "r2.csv"):
-        path = tmp_path / name
-        code, _, err = _run(["chair", "--in", str(evals), "--out", str(path)])
-        assert code == 0, err
-        outs.append(path.read_bytes())
-    assert outs[0] == outs[1]

@@ -222,30 +222,14 @@ def test_balance_yes_no_matches_recorded_digest():
     assert h.hexdigest() == BALANCED_TURNS_SHA256
 
 
-def _construct(tmp_path, mode):
-    data, out = tmp_path / "world.jsonl", tmp_path / f"{mode}.jsonl"
-    world.write_dataset_jsonl(world.make_preference_dataset(6, 4), data)
-    assert dispatch(["construct", "--in", str(data), "--out", str(out), "--k", "3",
-                     "--mode", mode]) == 0
-    return read_jsonl(out)
-
-
-def test_assemble_append_mode(tmp_path, capsys):
-    separate = _construct(tmp_path, "concat_separate")
-    appended = _construct(tmp_path, "append")
-    assert len(separate) == 2 * len(appended)
-    for merged, gt, constructed in zip(appended, separate[::2], separate[1::2]):
-        assert gt["id"] == merged["id"] + "/gt" and constructed["id"] == merged["id"] + "/constructed"
-        assert merged["conversations"] == gt["conversations"] + constructed["conversations"]
-        assert len(gt["conversations"]) == 2  # one GT caption turn
-
-
-def test_assemble_rejects_unknown_mode(tmp_path, capsys):
+def test_construct_rejects_mode_flag(tmp_path, capsys):
+    # construct writes one layout, so the flag that chose between two is gone
     data = tmp_path / "world.jsonl"
     world.write_dataset_jsonl(world.make_preference_dataset(2, 4), data)
     code = dispatch(["construct", "--in", str(data), "--out", str(tmp_path / "out.jsonl"),
-                     "--mode", "zip"])
-    assert code == 2 and "invalid choice: 'zip'" in capsys.readouterr().err
+                     "--mode", "concat_separate"])
+    assert code == 2 and "unrecognized arguments: --mode" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 def test_qa_turns_from_clauses_consistent():

@@ -1,16 +1,20 @@
 """Packaging: every third-party module the code imports is declared, the
 record-to-model-input decision and the scorer each stay in one module,
-the names the benchmark pins exist, every import is read, and the pytest
-settings report failures normally."""
+the names the benchmark pins exist, every import is read, README's examples
+match the code, and the pytest settings report failures normally."""
 
 import ast
 import importlib.util
+import io
 import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+
+from prefalign.cli import dispatch
 
 tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
 
@@ -140,6 +144,17 @@ def test_readme_library_snippet_runs():
     blocks = re.findall(r"```python\n(.*?)```", ROOT.joinpath("README.md").read_text(), re.S)
     assert len(blocks) == 1, f"README has {len(blocks)} python blocks, expected the one snippet"
     exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme_snippet"})
+
+
+def test_readme_command_list_matches_parser():
+    """README's `## Command line` block shows each subcommand once, in the
+    parser's order, so a removed or added subcommand cannot leave it stale."""
+    with redirect_stdout(io.StringIO()) as out:
+        assert dispatch(["--help"]) == 0
+    choices = re.search(r"\{(.+?)\}", out.getvalue()).group(1).split(",")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", ROOT.joinpath("README.md").read_text(),
+                      re.S).group(1)
+    assert re.findall(r"^prefalign (\S+)", block, re.M) == choices
 
 
 def _unread_parameters(path):

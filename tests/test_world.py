@@ -149,6 +149,9 @@ def test_dataset_serialization_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     loaded = read_dataset_jsonl(p1)
     assert [r.to_dict() for r in loaded] == [r.to_dict() for r in records]
+    lines = p1.read_text().splitlines()
+    p2.write_text("\n" + "\n\n".join(lines) + "\n \n")  # blank lines are skipped
+    assert [r.to_dict() for r in read_dataset_jsonl(p2)] == [r.to_dict() for r in records]
 
 
 def _write_edited(tmp_path, edit):
