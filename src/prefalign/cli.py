@@ -102,7 +102,8 @@ def _load_train_config(args):
     overrides = {}
     if args.config:
         with open(args.config) as fh:
-            overrides.update(json.load(fh))
+            if not isinstance(overrides := json.load(fh), dict):
+                raise ValueError(f"--config must hold a JSON object, got {overrides!r}")
     for key in ("method", "steps", "seed", "beta", "kl_weight"):
         v = getattr(args, key, None)
         if v is not None:

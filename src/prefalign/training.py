@@ -8,7 +8,9 @@ per-step quantities the theory probes consume.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import asdict, astuple, dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -57,13 +59,26 @@ __all__ = [
     "self_response_records",
     "mean_sequence_logprobs",
     "evaluate_model",
-    "default_experiment_configs",
     "ExperimentSpec",
     "run_experiment",
     "write_trajectory_log_csv",
 ]
 
-METHODS = ("cont_sft", "gt_dpo", "nsft", "sft_kl", "nsft_kl")
+# The one place a method is defined. `row` follows each chosen caption: None, "rejected"
+# (which selects the DPO margin loss over frozen-reference scores) or "constructed" (nSFT's
+# conversation). `kl` runs the reference every step for the KL term. `recipe` holds the
+# experiment's TrainConfig settings; None leaves the method out. Step sizes differ per method
+# on purpose: the nSFT loss sums two conversations (roughly triple the token count of plain
+# SFT), and preference-logit losses are conventionally trained with much smaller steps than
+# SFT, so a shared learning rate would compare a tuned method against broken ones.
+Method = namedtuple("Method", "row kl recipe")
+METHODS = {
+    "cont_sft": Method(None, False, dict(lr=1e-2)),
+    "gt_dpo": Method("rejected", False, dict(lr=5e-4, beta=2.0)),
+    "nsft": Method("constructed", False, dict(lr=2e-3)),
+    "sft_kl": Method(None, True, dict(lr=1e-2, kl_weight=1.0)),
+    "nsft_kl": Method("constructed", True, None),
+}
 
 # Records per packed scoring forward: its (N, V) log-prob rows dominate
 # memory. Over 5 evaluations of 500 records, chunks of 16 and 32 raised peak
@@ -75,6 +90,16 @@ _CHUNK = 8
 _DECODE_CHUNK = 64
 
 _OBJECT_TOKEN_RANGE = range(OBJECT_TOKEN_BASE, OBJECT_TOKEN_BASE + len(OBJECTS))
+
+
+def _check_floors(config, **lows):
+    """ValueError naming `<Class>.<field>` below its floor or, under an int floor, not an int."""
+    for name, low in lows.items():
+        value, field = getattr(config, name), f"{type(config).__name__}.{name}"
+        if isinstance(low, int) and (type(value) is bool or not isinstance(value, Integral)):
+            raise ValueError(f"{field} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{field} must be >= {low:g}, got {value}")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -98,13 +123,10 @@ class TrainConfig:
     yes_floor: float = 0.4
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        lows = dict(steps=0, batch_size=1, lr=0, seed=0, kl_weight=0, construct_k=1, n_blocks=0,
-                    dim=8)
-        for name, low in lows.items():
-            if (value := getattr(self, name)) < low:
-                raise ValueError(f"TrainConfig.{name} must be >= {low}, got {value}")
+        if self.method not in (known := tuple(METHODS)):
+            raise ValueError(f"unknown method {self.method!r}; choose from {known}")
+        _check_floors(self, steps=0, batch_size=1, lr=0.0, seed=0, kl_weight=0.0, construct_k=1,
+                      n_blocks=0, dim=8)
         for name in ("lr", "beta", "kl_weight"):  # NaN passes every comparison
             if not math.isfinite(value := getattr(self, name)):
                 raise ValueError(f"TrainConfig.{name} must be finite, got {value}")
@@ -128,30 +150,26 @@ class _SampleView:
 
 
 def build_training_views(records, config: TrainConfig, reference=None):
-    """Precompute per-record training material, each row flattened once.
-
-    Every view's first row is the chosen caption. gt_dpo adds the rejected
-    caption and frozen-reference sequence log-probs, so it needs
-    `reference` (ValueError without it); nSFT methods add a rule-based
-    constructed conversation (yes/no balanced to `config.yes_floor`).
-    """
-    dpo = config.method == "gt_dpo"
-    if dpo and reference is None:
-        raise ValueError("gt_dpo training views need a reference model")
-    needs_construct = config.method in ("nsft", "nsft_kl")
+    """Precompute per-record training material, each row flattened once:
+    the chosen caption, then the method's row. The rejected row comes with
+    frozen-reference sequence log-probs, so it needs `reference`
+    (ValueError without it)."""
+    row = METHODS[config.method].row
+    if row == "rejected" and reference is None:
+        raise ValueError(f"{config.method} training views need a reference model")
     samples = [rec.to_sample() for rec in records]
-    if dpo:
+    if row == "rejected":
         ref_c, ref_r, _ = _score_pairs(reference, samples)
     views = []
     for r, (rec, sample) in enumerate(zip(records, samples)):
-        captions = [sample.chosen, sample.rejected] if dpo else [sample.chosen]
-        view = _SampleView(sample, [sample.caption_conversation(y).flatten() for y in captions])
-        if needs_construct:
+        view = _SampleView(sample, [sample.caption_conversation(sample.chosen).flatten()])
+        if row == "rejected":
+            view.rows.append(sample.caption_conversation(sample.rejected).flatten())
+            view.ref_logprob_chosen, view.ref_logprob_rejected = ref_c[r], ref_r[r]
+        elif row == "constructed":
             conv = nsft_conversation(rec, sample.context.image_latent, config.construct_k,
                                      config.yes_floor, rec.seed)
             view.rows.append(conv.flatten())
-        if dpo:
-            view.ref_logprob_chosen, view.ref_logprob_rejected = ref_c[r], ref_r[r]
         views.append(view)
     return views
 
@@ -159,19 +177,19 @@ def build_training_views(records, config: TrainConfig, reference=None):
 def batch_loss(params, reference, views, config: TrainConfig):
     """One step's batch-mean loss as one packed graph, plus per-sample
     logging arrays: chosen and rejected sequence log-probs for every
-    method, and t1, t2 and the margin for gt_dpo.
+    method, and t1, t2 and the margin where the rejected row selects it.
 
     Every method packs its views' rows alike, the n chosen captions first.
-    gt_dpo's loss is the margin between those and the rejected captions
-    after them; the SFT family's is the masked SFT loss summed over every
-    row, plus the KL to the reference on the chosen captions."""
+    With the rejected row the loss is the margin between those and the
+    rejected captions after them; otherwise it is the masked SFT loss summed
+    over every row, plus the entry's KL to the reference on the chosen ones."""
+    method = METHODS[config.method]
     n = len(views)
     rows = [v.rows[0] for v in views] + [r for v in views for r in v.rows[1:]]
-    kl_reference = reference if config.method in ("sft_kl", "nsft_kl") else None
     position_lp, lp_c, lp_rest, kl = packed_logprobs(params, pack(params, *zip(*rows)), n,
-                                                     kl_reference)
+                                                     reference if method.kl else None)
 
-    if config.method == "gt_dpo":
+    if method.row == "rejected":
         ref_c = np.array([v.ref_logprob_chosen for v in views])
         ref_r = np.array([v.ref_logprob_rejected for v in views])
         p = dpo_margin(lp_c, lp_rest, ref_c, ref_r)
@@ -224,7 +242,6 @@ def train(config: TrainConfig, records, init_model=None):
     tensors = params.tensors()
     rng = np.random.default_rng(config.seed)
     log = []
-    dpo = config.method == "gt_dpo"
 
     for step in range(config.steps):
         lr = cosine_lr(step, config.steps, config.lr)
@@ -241,10 +258,8 @@ def train(config: TrainConfig, records, init_model=None):
             lr=lr,
             mean_chosen_logprob=_mean(stats["lp_c"]),
             mean_rejected_logprob=_mean(stats["lp_r"]),
-            t1=_mean(stats["t1"]) if dpo else None,
-            t2=_mean(stats["t2"]) if dpo else None,
-            p_dpo=_mean(stats["p_dpo"]) if dpo else None,
             kl_to_reference=_mean(kl.values),
+            **{name: _mean(stats[name]) for name in ("t1", "t2", "p_dpo") if name in stats},
         ))
 
     assert params_hash(reference) == ref_hash  # the frozen reference stays frozen
@@ -422,33 +437,11 @@ class ExperimentSpec:
     max_decode_len: int = 16
 
     def __post_init__(self):
-        if not 1 <= self.object_pool_size <= len(OBJECTS):
+        _check_floors(self, train_n=1, eval_n=1, pretrain_n=1, steps=1, batch_size=1,
+                      max_decode_len=1, pretrain_steps=0, seed=0, eval_seed=0, pretrain_seed=0,
+                      n_blocks=0, dim=8, object_pool_size=1)
+        if self.object_pool_size > len(OBJECTS):
             raise ValueError("object_pool_size out of range")
-        lows = dict(train_n=1, eval_n=1, pretrain_n=1, steps=1, batch_size=1,
-                    max_decode_len=1, pretrain_steps=0, seed=0, eval_seed=0, pretrain_seed=0,
-                    n_blocks=0, dim=8)
-        for name, low in lows.items():
-            if (value := getattr(self, name)) < low:
-                raise ValueError(f"ExperimentSpec.{name} must be >= {low}, got {value}")
-
-
-def default_experiment_configs(spec: ExperimentSpec):
-    """One TrainConfig per compared method, each at its stable recipe.
-
-    Step sizes differ per method on purpose: the nSFT loss sums two
-    conversations (roughly triple the token count of plain SFT), and
-    preference-logit losses are conventionally trained with much
-    smaller steps than SFT, so a shared learning rate would compare a
-    tuned method against broken ones.
-    """
-    common = dict(steps=spec.steps, dim=spec.dim, n_blocks=spec.n_blocks,
-                  seed=spec.seed, batch_size=spec.batch_size)
-    return [
-        TrainConfig(method="cont_sft", lr=1e-2, **common),
-        TrainConfig(method="gt_dpo", lr=5e-4, beta=2.0, **common),
-        TrainConfig(method="nsft", lr=2e-3, **common),
-        TrainConfig(method="sft_kl", lr=1e-2, kl_weight=1.0, **common),
-    ]
 
 
 def run_experiment(spec: ExperimentSpec, base_model=None):
@@ -477,8 +470,13 @@ def run_experiment(spec: ExperimentSpec, base_model=None):
     base_eval = evaluate_model(base_model, eval_records, initial_model=base_model,
                                max_decode_len=spec.max_decode_len)
     base_c, base_r = mean_sequence_logprobs(base_model, records)
+    common = dict(steps=spec.steps, dim=spec.dim, n_blocks=spec.n_blocks,
+                  seed=spec.seed, batch_size=spec.batch_size)
     methods = {}
-    for config in default_experiment_configs(spec):
+    for name, method in METHODS.items():
+        if method.recipe is None:
+            continue
+        config = TrainConfig(method=name, **method.recipe, **common)
         params, log = train(config, records, init_model=base_model)
         ev = evaluate_model(params, eval_records, initial_model=base_model,
                             max_decode_len=spec.max_decode_len)
@@ -488,10 +486,10 @@ def run_experiment(spec: ExperimentSpec, base_model=None):
             "train_delta_chosen_logprob": train_c - base_c,
             "train_delta_rejected_logprob": train_r - base_r,
         }
-        if config.method == "gt_dpo":
+        if method.row == "rejected":
             report = bias_trajectory_report(log)
             entry["fraction_ratio_below_1"] = report["summary"]["fraction_ratio_below_1"]
-        methods[config.method] = entry
+        methods[name] = entry
         del params, log  # free this method's model before the next one trains
     n_self = sum(1 for a, b in zip(records, injected) if a.rejected != b.rejected)
     return {

@@ -216,6 +216,26 @@ def test_train_non_finite_config_exits_1_without_checkpoint(tmp_path):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"steps": true, "dim": 8}', "TrainConfig.steps must be an integer, got True"),
+    ('{"construct_k": 2.5, "steps": 2, "dim": 8}',
+     "TrainConfig.construct_k must be an integer, got 2.5"),
+    ("[]", "--config must hold a JSON object, got []"),
+    ('[["dim", 8], ["steps", 2]]',
+     "--config must hold a JSON object, got [['dim', 8], ['steps', 2]]"),
+], ids=["bool-steps", "float-construct-k", "empty-array", "pair-array"])
+def test_train_bad_config_file_exits_1_without_checkpoint(tmp_path, text, message):
+    # a bool or a float would pass a bare floor comparison, and a JSON array dict.update
+    data = _gen_world(tmp_path, "data.jsonl")
+    cfg, ckpt = tmp_path / "cfg.json", tmp_path / "m.json"
+    cfg.write_text(text)
+    code, _, err = _run(["train", "--config", str(cfg), "--data", str(data), "--method", "nsft",
+                         "--out", str(ckpt)])
+    assert code == 1
+    assert json.loads(err.strip()) == {"error": "ValueError", "message": message}
+    assert not ckpt.exists()
+
+
 @pytest.mark.parametrize("command, input_flag, message", [
     ("train", "--data", "TrainConfig.seed must be >= 0, got -1"),
     ("construct", "--in", "--seed must be >= 0, got -1"),

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from prefalign.cli import dispatch
+from prefalign.training import METHODS
 
 tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
 
@@ -108,6 +109,34 @@ def test_benchmark_pinned_names_resolve():
             owner = getattr(owner, part, None)
             assert owner is not None, f"perfbench names prefalign.{mod}.{attr}, which is gone"
         assert callable(owner), f"prefalign.{mod}.{attr} is not callable"
+
+
+def _method_names_outside_the_table(path, names):
+    """(line, name) for every string constant in `path` equal to a method
+    name, apart from the `METHODS` assignment and `TrainConfig.method`'s
+    default. A docstring or f-string is not equal to a name, so it passes."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None)
+                                             for t in node.targets] == ["METHODS"]:
+            allowed.update(map(id, ast.walk(node.value)))
+        elif isinstance(node, ast.ClassDef) and node.name == "TrainConfig":
+            allowed.update(id(stmt.value) for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+                           and stmt.target.id == "method")
+    return sorted((node.lineno, node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value in names and id(node) not in allowed)
+
+
+def test_method_names_live_only_in_the_table():
+    """A lint step: code reads a method's behaviour from its `training.METHODS`
+    entry and never branches on its name, so adding a method is adding an entry."""
+    paths = sorted(ROOT.joinpath("src").rglob("*.py"))
+    assert len(paths) > 10, "the scan found too few files"
+    named = {str(p.relative_to(ROOT)): n for p in paths
+             if (n := _method_names_outside_the_table(p, set(METHODS)))}
+    assert not named, f"method names outside training.METHODS (line, name): {named}"
 
 
 def _unused_imports(path):

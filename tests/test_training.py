@@ -1,7 +1,10 @@
 """Continual-alignment training loop: determinism, logging, method
 comparison scaffolding, and the experiment pipeline at toy sizes."""
 
+import io
 import math
+import re
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -37,7 +40,6 @@ from prefalign.training import (
     batch_loss,
     build_training_views,
     cosine_lr,
-    default_experiment_configs,
     evaluate_model,
     make_base_model,
     mean_sequence_logprobs,
@@ -86,6 +88,13 @@ def test_train_config_validation():
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"TrainConfig.{name} must be finite"):
                 TrainConfig(**{name: value})
+    # a bool (an int subclass) or a float would pass a bare floor comparison
+    for name, value in (("steps", True), ("construct_k", 2.5), ("dim", 8.0), ("seed", False),
+                        ("batch_size", np.float64(4))):
+        with pytest.raises(ValueError, match=rf"TrainConfig.{name} must be an integer, got "):
+            TrainConfig(**{name: value})
+    config = TrainConfig(steps=np.int64(3), dim=np.int32(8), lr=1, kl_weight=0)
+    assert (config.steps, config.dim) == (3, 8)
     assert set(METHODS) == {"cont_sft", "gt_dpo", "nsft", "sft_kl", "nsft_kl"}
 
 
@@ -460,11 +469,23 @@ def test_silent_model_reports_no_chair_i():
     assert ev["object_recall"] == 0.0 and ev["mean_caption_len"] == 0.0
 
 
-def test_default_experiment_configs_cover_methods():
-    spec = ExperimentSpec()
-    configs = default_experiment_configs(spec)
-    assert [c.method for c in configs] == ["cont_sft", "gt_dpo", "nsft", "sft_kl"]
-    assert all(c.steps == spec.steps and c.dim == spec.dim for c in configs)
+def test_experiment_trains_each_recipe_in_the_table(monkeypatch):
+    """`run_experiment` trains every `METHODS` entry that has a recipe, in
+    table order, at the recipe's settings and the spec's shared sizes."""
+    configs, real_train = [], training.train
+    monkeypatch.setattr(training, "train", lambda config, *args, **kwargs:
+                        configs.append(config) or real_train(config, *args, **kwargs))
+    run_experiment(ExperimentSpec(seed=3, train_n=3, steps=2, dim=8, n_blocks=1, batch_size=2,
+                                  eval_n=2, pretrain_n=4, pretrain_steps=1))
+    assert [(c.method, c.lr, c.beta, c.kl_weight) for c in configs] == [
+        ("cont_sft", 1e-2, 0.1, 0.1), ("gt_dpo", 5e-4, 2.0, 0.1), ("nsft", 2e-3, 0.1, 0.1),
+        ("sft_kl", 1e-2, 0.1, 1.0)]
+    shared = {(c.steps, c.dim, c.n_blocks, c.seed, c.batch_size) for c in configs}
+    assert shared == {(2, 8, 1, 3, 2)}
+    with redirect_stdout(io.StringIO()) as out:
+        assert dispatch(["train", "--help"]) == 0
+    choices = re.search(r"--method \{(.+?)\}", out.getvalue()).group(1)
+    assert tuple(choices.split(",")) == tuple(METHODS)
 
 
 def test_experiment_spec_validation():
@@ -474,6 +495,11 @@ def test_experiment_spec_validation():
         ExperimentSpec(object_pool_size=len(world.OBJECTS) + 1)
     with pytest.raises(ValueError, match="ExperimentSpec.n_blocks"):
         ExperimentSpec(n_blocks=-1)
+    for name, value in (("train_n", 2.5), ("seed", True), ("object_pool_size", 3.0),
+                        ("pretrain_steps", np.float64(2))):
+        with pytest.raises(ValueError, match=rf"ExperimentSpec.{name} must be an integer, got "):
+            ExperimentSpec(**{name: value})
+    assert ExperimentSpec(train_n=np.int64(2), object_pool_size=np.int8(3)).train_n == 2
 
 
 def test_run_experiment_tiny_smoke():
