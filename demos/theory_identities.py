@@ -17,7 +17,7 @@ import numpy as np
 
 from prefalign.autodiff import backward
 from prefalign.checks import tiny_instance
-from prefalign.losses import DpoConfig, dpo_logit, dpo_logit_noref, dpo_loss, sft_loss
+from prefalign.losses import dpo_logit, dpo_loss, sft_loss
 from prefalign.theory import RatioPoint, dpo_partials, update_rate_ratio
 
 
@@ -25,7 +25,7 @@ def main():
     print("1) preference logit as an SFT-loss difference")
     for seed in range(3):
         policy, _, sample = tiny_instance(seed)
-        p = dpo_logit_noref(policy, sample).item()
+        p = dpo_logit(policy, sample).item()
         l_c = sft_loss(policy, sample.context, sample.chosen).item()
         l_r = sft_loss(policy, sample.context, sample.rejected).item()
         print(f"   seed {seed}: p = {p:+.6f}   -(L_c - L_r) = {-(l_c - l_r):+.6f}"
@@ -34,10 +34,9 @@ def main():
     print("\n2) preference gradient = scalar * (grad SFT_chosen - grad SFT_rejected)")
     policy, reference, sample = tiny_instance(11)
     beta = 0.5
-    cfg = DpoConfig(beta=beta, reference=reference)
-    p = dpo_logit(policy, cfg, sample).item()
+    p = dpo_logit(policy, sample, reference).item()
     scale = beta / (1.0 + math.exp(beta * p))
-    g_dpo = backward(dpo_loss(policy, cfg, sample), policy.tensors())
+    g_dpo = backward(dpo_loss(policy, sample, beta, reference), policy.tensors())
     g_c = backward(sft_loss(policy, sample.context, sample.chosen), policy.tensors())
     g_r = backward(sft_loss(policy, sample.context, sample.rejected), policy.tensors())
     worst = max(float(np.max(np.abs(g_dpo[t] - scale * (g_c[t] - g_r[t]))))

@@ -11,10 +11,8 @@ becomes a corrective question-answer turn.
 from .autodiff import Tensor, backward, finite_diff, relative_error
 from .data import Conversation, InputContext, PreferenceSample, Turn
 from .losses import (
-    DpoConfig,
     bt_probability,
     dpo_logit,
-    dpo_logit_noref,
     dpo_loss,
     implicit_reward,
     per_token_kl,

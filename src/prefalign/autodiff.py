@@ -366,6 +366,9 @@ def backward(loss, params):
     out = {}
     for p in params:
         g = grads.get(id(p))
+        # Nothing reads `.grad`, but the live gradients keep glibc from trimming a step's freed
+        # graph off the heap: without them, 400 dim-64 pretraining steps took 74k minor page
+        # faults instead of 8k (x86-64, glibc malloc).
         out[p] = p.grad = np.zeros_like(p.values) if g is None else g
     return out
 

@@ -17,10 +17,8 @@ from . import autodiff as ad
 from .autodiff import backward, relative_error
 from .data import InputContext, PreferenceSample
 from .losses import (
-    DpoConfig,
     bt_probability,
     dpo_logit,
-    dpo_logit_noref,
     dpo_loss,
     dpo_margin,
     dpo_margin_loss,
@@ -61,7 +59,7 @@ def check_logit_sft_identity(seeds=200, tol=1e-10):
     worst = 0.0
     for s in range(seeds):
         policy, _, sample = tiny_instance(s)
-        p = dpo_logit_noref(policy, sample).item()
+        p = dpo_logit(policy, sample).item()
         l_c = sft_loss(policy, sample.context, sample.chosen).item()
         l_r = sft_loss(policy, sample.context, sample.rejected).item()
         worst = np.maximum(worst, abs(p + (l_c - l_r)))
@@ -69,14 +67,13 @@ def check_logit_sft_identity(seeds=200, tol=1e-10):
 
 
 def check_frozen_reference_gradients(seeds=100, tol=1e-10):
-    """grad of dpo_logit equals grad of dpo_logit_noref: the reference
-    contributes constants only."""
+    """grad of dpo_logit equals its gradient without a reference: the
+    reference contributes constants only."""
     worst = 0.0
     for s in range(seeds):
         policy, reference, sample = tiny_instance(s)
-        cfg = DpoConfig(beta=0.1, reference=reference)
-        g_ref = backward(dpo_logit(policy, cfg, sample), policy.tensors())
-        g_noref = backward(dpo_logit_noref(policy, sample), policy.tensors())
+        g_ref = backward(dpo_logit(policy, sample, reference), policy.tensors())
+        g_noref = backward(dpo_logit(policy, sample), policy.tensors())
         for t in policy.tensors():
             worst = np.maximum(worst, np.max(np.abs(g_ref[t] - g_noref[t])))
     return worst <= tol, f"max |grad diff| = {worst:.3e} (tol {tol:g})"
@@ -88,10 +85,9 @@ def check_gradient_decomposition(seeds=100, tol=1e-6):
     for s in range(seeds):
         policy, reference, sample = tiny_instance(s)
         beta = 0.1 + 0.4 * (s % 5) / 5.0
-        cfg = DpoConfig(beta=beta, reference=reference)
-        p = dpo_logit(policy, cfg, sample).item()
+        p = dpo_logit(policy, sample, reference).item()
         scale = beta / (1.0 + math.exp(beta * p))  # beta * sigma(-beta p)
-        g_dpo = backward(dpo_loss(policy, cfg, sample), policy.tensors())
+        g_dpo = backward(dpo_loss(policy, sample, beta, reference), policy.tensors())
         g_c = backward(sft_loss(policy, sample.context, sample.chosen), policy.tensors())
         g_r = backward(sft_loss(policy, sample.context, sample.rejected), policy.tensors())
         for t in policy.tensors():
@@ -172,15 +168,14 @@ def check_losses_vs_finite_diff(seeds=100, tol=1e-5):
     runs through one batched forward per chunk of coordinates, and all
     three losses are read from the same rows.
     """
-    worst = 0.0
+    worst, beta = 0.0, 0.2
     for s in range(seeds):
         policy, reference, sample = tiny_instance(s)
-        cfg = DpoConfig(beta=0.2, reference=reference)
         tensors = policy.tensors()
         losses = (sft_loss(policy, sample.context, sample.chosen),
-                  dpo_loss(policy, cfg, sample),
-                  per_token_kl(policy, reference, sample.context, sample.chosen))
-        for loss, g_fd in zip(losses, stacked_finite_diff(policy, reference, sample, cfg.beta)):
+                  dpo_loss(policy, sample, beta, reference),
+                  per_token_kl(policy, sample.context, sample.chosen, reference))
+        for loss, g_fd in zip(losses, stacked_finite_diff(policy, reference, sample, beta)):
             g_b = backward(loss, tensors)
             for t in tensors:
                 # floor=1e-6: below that the FD oracle's roundoff dominates
@@ -218,8 +213,7 @@ def check_closed_form_anchors():
     """ln 2 at policy==reference; L ln V for a uniform model; KL(pi,pi)=0."""
     policy, _, sample = tiny_instance(7)
     frozen = policy.clone(requires_grad=False)
-    cfg = DpoConfig(beta=0.1, reference=frozen)
-    e1 = abs(dpo_loss(policy, cfg, sample).item() - math.log(2.0))
+    e1 = abs(dpo_loss(policy, sample, 0.1, frozen).item() - math.log(2.0))
 
     uniform = init_params(_V, _D, _K, n_blocks=1, seed=0, scale=0.0)
     for t in uniform.tensors():
@@ -227,7 +221,7 @@ def check_closed_form_anchors():
     L = len(sample.chosen)
     e2 = abs(sft_loss(uniform, sample.context, sample.chosen).item() - L * math.log(_V))
 
-    e3 = abs(per_token_kl(policy, frozen, sample.context, sample.chosen).item())
+    e3 = abs(per_token_kl(policy, sample.context, sample.chosen, frozen).item())
     ok = e1 <= 1e-12 and e2 <= 1e-10 and e3 == 0.0
     return ok, f"|dpo-ln2|={e1:.3e} (tol 1e-12), |sft-LlnV|={e2:.3e} (tol 1e-10), kl={e3:.3e} (exact 0)"
 
@@ -247,14 +241,13 @@ def check_softmax_row_gradient(seeds=50, tol=1e-12):
 
 def check_implicit_reward_identity(seeds=100, tol=1e-10):
     """BT probability of the two implicit rewards equals sigma(beta p_dpo)."""
-    worst = 0.0
+    worst, beta = 0.0, 0.3
     for s in range(seeds):
         policy, reference, sample = tiny_instance(s)
-        cfg = DpoConfig(beta=0.3, reference=reference)
-        r_c = implicit_reward(policy, cfg, sample.context, sample.chosen).item()
-        r_r = implicit_reward(policy, cfg, sample.context, sample.rejected).item()
-        p = dpo_logit(policy, cfg, sample).item()
-        sigma = 1.0 / (1.0 + math.exp(-cfg.beta * p))
+        r_c = implicit_reward(policy, sample.context, sample.chosen, beta, reference).item()
+        r_r = implicit_reward(policy, sample.context, sample.rejected, beta, reference).item()
+        p = dpo_logit(policy, sample, reference).item()
+        sigma = 1.0 / (1.0 + math.exp(-beta * p))
         worst = np.maximum(worst, abs(bt_probability(r_c, r_r) - sigma))
     return worst <= tol, f"max |BT - sigma(beta p)| = {worst:.3e} (tol {tol:g})"
 

@@ -5,22 +5,19 @@ length-normalized, so the reference-free DPO logit is exactly the
 negated difference of the two SFT losses. Every sequence log-prob and
 KL comes from `packed_logprobs`, one forward of many sequences packed
 by `model.pack`; the single-sample forms are batches of one. A
-reference model enters through `frozen()`, so it contributes constants
-only.
+function that reads a reference model takes it last, and runs it
+through `frozen()`, so it contributes constants only.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import Conversation, InputContext, PreferenceSample
-from .model import Batch, ModelParams, batch_logprob_matrix, pack
+from .model import Batch, batch_logprob_matrix, pack
 
 __all__ = [
-    "DpoConfig",
     "packed_logprobs",
     "sequence_logprobs",
     "pair_logprobs",
@@ -28,7 +25,6 @@ __all__ = [
     "sft_loss",
     "batch_sft_loss",
     "dpo_logit",
-    "dpo_logit_noref",
     "dpo_margin",
     "dpo_margin_loss",
     "dpo_loss",
@@ -37,16 +33,6 @@ __all__ = [
     "conversation_sft_loss",
     "per_token_kl",
 ]
-
-
-@dataclass
-class DpoConfig:
-    beta: float
-    reference: ModelParams
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
 
 
 def _pack_contexts(params, contexts, ys):
@@ -112,30 +98,26 @@ def dpo_margin(lp_c, lp_r, ref_c, ref_r):
 
 
 def dpo_margin_loss(p, beta):
-    """-log sigma(beta * p)."""
+    """-log sigma(beta * p); ValueError unless beta > 0."""
+    if not beta > 0:  # NaN fails too
+        raise ValueError("beta must be positive")
     return -ad.log_sigmoid(beta * p)
 
 
-def _sample_pair(sample):
-    return [sample.context], [sample.chosen], [sample.rejected]
-
-
-def dpo_logit(policy, cfg: DpoConfig, sample: PreferenceSample):
-    """log-ratio margin between chosen and rejected (reference included)."""
-    ref_c, ref_r, _ = pair_logprobs(cfg.reference.frozen(), *_sample_pair(sample))
-    lp_c, lp_r, _ = pair_logprobs(policy, *_sample_pair(sample))
+def dpo_logit(policy, sample: PreferenceSample, reference=None):
+    """log-ratio margin between chosen and rejected, minus `reference`'s;
+    without one, the negated difference of the two SFT losses."""
+    pair = [sample.context], [sample.chosen], [sample.rejected]
+    lp_c, lp_r, _ = pair_logprobs(policy, *pair)
+    if reference is None:
+        return ad.tsum(lp_c - lp_r)
+    ref_c, ref_r, _ = pair_logprobs(reference.frozen(), *pair)
     return ad.tsum(dpo_margin(lp_c, lp_r, ref_c, ref_r))
 
 
-def dpo_logit_noref(policy, sample: PreferenceSample):
-    """Reference-free margin: the negated difference of two SFT losses."""
-    lp_c, lp_r, _ = pair_logprobs(policy, *_sample_pair(sample))
-    return ad.tsum(lp_c - lp_r)
-
-
-def dpo_loss(policy, cfg: DpoConfig, sample: PreferenceSample):
+def dpo_loss(policy, sample: PreferenceSample, beta, reference):
     """-log sigma(beta * p_dpo)."""
-    return dpo_margin_loss(dpo_logit(policy, cfg, sample), cfg.beta)
+    return dpo_margin_loss(dpo_logit(policy, sample, reference), beta)
 
 
 def bt_probability(reward_c, reward_r):
@@ -146,10 +128,12 @@ def bt_probability(reward_c, reward_r):
     return float(ec / (ec + er))
 
 
-def implicit_reward(policy, cfg: DpoConfig, context, y):
+def implicit_reward(policy, context, y, beta, reference):
     """beta * log(pi_policy(y|x) / pi_ref(y|x)); the additive constant is dropped."""
-    ref = sequence_logprob(cfg.reference.frozen(), context, y).item()
-    return cfg.beta * (sequence_logprob(policy, context, y) - ref)
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    ref = sequence_logprob(reference.frozen(), context, y).item()
+    return beta * (sequence_logprob(policy, context, y) - ref)
 
 
 def conversation_sft_loss(params, conversation: Conversation):
@@ -158,7 +142,7 @@ def conversation_sft_loss(params, conversation: Conversation):
     return batch_sft_loss(params, pack(params, *zip(conversation.flatten())))
 
 
-def per_token_kl(policy, reference, context: InputContext, y):
+def per_token_kl(policy, context: InputContext, y, reference):
     """Mean over positions of KL(pi_policy(.|prefix) || pi_ref(.|prefix))."""
     batch = _pack_contexts(policy, [context], [y])
     return ad.tsum(packed_logprobs(policy, batch, 1, reference)[3])

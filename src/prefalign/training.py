@@ -93,11 +93,13 @@ _OBJECT_TOKEN_RANGE = range(OBJECT_TOKEN_BASE, OBJECT_TOKEN_BASE + len(OBJECTS))
 
 
 def _check_floors(config, **lows):
-    """ValueError naming `<Class>.<field>` below its floor or, under an int floor, not an int."""
+    """ValueError naming `<Class>.<field>` below its floor, a bool, or, under an int floor,
+    not an int."""
     for name, low in lows.items():
         value, field = getattr(config, name), f"{type(config).__name__}.{name}"
-        if isinstance(low, int) and (type(value) is bool or not isinstance(value, Integral)):
-            raise ValueError(f"{field} must be an integer, got {value!r}")
+        if type(value) is bool or isinstance(low, int) and not isinstance(value, Integral):
+            kind = "an integer" if isinstance(low, int) else "a number"
+            raise ValueError(f"{field} must be {kind}, got {value!r}")
         if value < low:
             raise ValueError(f"{field} must be >= {low:g}, got {value}")
 
@@ -125,8 +127,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in (known := tuple(METHODS)):
             raise ValueError(f"unknown method {self.method!r}; choose from {known}")
-        _check_floors(self, steps=0, batch_size=1, lr=0.0, seed=0, kl_weight=0.0, construct_k=1,
-                      n_blocks=0, dim=8)
+        _check_floors(self, steps=0, batch_size=1, lr=0.0, beta=0.0, seed=0, kl_weight=0.0,
+                      construct_k=1, n_blocks=0, dim=8, yes_floor=0.0)
         for name in ("lr", "beta", "kl_weight"):  # NaN passes every comparison
             if not math.isfinite(value := getattr(self, name)):
                 raise ValueError(f"TrainConfig.{name} must be finite, got {value}")

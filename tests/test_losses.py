@@ -10,11 +10,9 @@ from prefalign.autodiff import Tensor, backward
 from prefalign.checks import tiny_instance
 from prefalign.data import Conversation, InputContext, Turn
 from prefalign.losses import (
-    DpoConfig,
     bt_probability,
     conversation_sft_loss,
     dpo_logit,
-    dpo_logit_noref,
     dpo_loss,
     implicit_reward,
     per_token_kl,
@@ -72,20 +70,17 @@ def test_sft_loss_mask_contract():
 
 def test_dpo_logit_zero_when_policy_equals_reference():
     policy, _, sample = tiny_instance(0)
-    cfg = DpoConfig(beta=0.1, reference=policy.clone(requires_grad=False))
-    assert abs(dpo_logit(policy, cfg, sample).item()) <= 1e-12
+    assert abs(dpo_logit(policy, sample, policy.clone(requires_grad=False)).item()) <= 1e-12
 
 
 def test_dpo_logit_zero_when_chosen_equals_rejected():
     policy, reference, sample = tiny_instance(1)
     sample.rejected = list(sample.chosen)
-    cfg = DpoConfig(beta=0.1, reference=reference)
-    assert abs(dpo_logit(policy, cfg, sample).item()) <= 1e-12
+    assert abs(dpo_logit(policy, sample, reference).item()) <= 1e-12
 
 
 def test_dpo_logit_matches_per_token_recomputation():
     policy, reference, sample = tiny_instance(2)
-    cfg = DpoConfig(beta=0.1, reference=reference)
 
     def seq_lp(model, y):
         x = encode_context(model, sample.context.image_latent, sample.context.question)
@@ -94,13 +89,13 @@ def test_dpo_logit_matches_per_token_recomputation():
 
     want = (seq_lp(policy, sample.chosen) - seq_lp(reference, sample.chosen)) - (
         seq_lp(policy, sample.rejected) - seq_lp(reference, sample.rejected))
-    assert abs(dpo_logit(policy, cfg, sample).item() - want) <= 1e-10
+    assert abs(dpo_logit(policy, sample, reference).item() - want) <= 1e-10
 
 
 def test_dpo_loss_ln2_at_reference():
     policy, _, sample = tiny_instance(3)
-    cfg = DpoConfig(beta=0.1, reference=policy.clone(requires_grad=False))
-    assert abs(dpo_loss(policy, cfg, sample).item() - math.log(2.0)) <= 1e-12
+    frozen = policy.clone(requires_grad=False)
+    assert abs(dpo_loss(policy, sample, 0.1, frozen).item() - math.log(2.0)) <= 1e-12
 
 
 def test_dpo_loss_strictly_decreasing_in_logit():
@@ -111,22 +106,21 @@ def test_dpo_loss_strictly_decreasing_in_logit():
 
 def test_dpo_loss_matches_composition():
     policy, reference, sample = tiny_instance(4)
-    cfg = DpoConfig(beta=0.1, reference=reference)
-    p = dpo_logit(policy, cfg, sample).item()
+    p = dpo_logit(policy, sample, reference).item()
     want = -math.log(1.0 / (1.0 + math.exp(-0.1 * p)))
-    assert abs(dpo_loss(policy, cfg, sample).item() - want) <= 1e-12
+    assert abs(dpo_loss(policy, sample, 0.1, reference).item() - want) <= 1e-12
 
 
 def test_dpo_logit_noref_zero_for_identical_sequences():
     policy, _, sample = tiny_instance(5)
     sample.rejected = list(sample.chosen)
-    assert abs(dpo_logit_noref(policy, sample).item()) <= 1e-12
+    assert abs(dpo_logit(policy, sample).item()) <= 1e-12
 
 
 def test_dpo_logit_noref_is_negated_sft_difference():
     for s in range(20):
         policy, _, sample = tiny_instance(s)
-        p = dpo_logit_noref(policy, sample).item()
+        p = dpo_logit(policy, sample).item()
         l_c = sft_loss(policy, sample.context, sample.chosen).item()
         l_r = sft_loss(policy, sample.context, sample.rejected).item()
         assert abs(p + (l_c - l_r)) <= 1e-10
@@ -135,9 +129,8 @@ def test_dpo_logit_noref_is_negated_sft_difference():
 def test_dpo_logit_with_uniform_reference_differs_by_length_constant():
     policy, _, sample = tiny_instance(6)
     sample.rejected = sample.rejected + [1]  # make lengths differ
-    cfg = DpoConfig(beta=0.1, reference=_zero_params())
-    with_ref = dpo_logit(policy, cfg, sample).item()
-    noref = dpo_logit_noref(policy, sample).item()
+    with_ref = dpo_logit(policy, sample, _zero_params()).item()
+    noref = dpo_logit(policy, sample).item()
     constant = (len(sample.chosen) - len(sample.rejected)) * math.log(V)
     assert abs(with_ref - (noref + constant)) <= 1e-10
 
@@ -151,23 +144,20 @@ def test_bt_probability_values():
 def test_implicit_reward_zero_at_reference_and_linear_in_beta():
     policy, _, sample = tiny_instance(7)
     frozen = policy.clone(requires_grad=False)
-    cfg1 = DpoConfig(beta=0.3, reference=frozen)
-    assert abs(implicit_reward(policy, cfg1, sample.context, sample.chosen).item()) <= 1e-12
+    r_0 = implicit_reward(policy, sample.context, sample.chosen, 0.3, frozen).item()
+    assert abs(r_0) <= 1e-12
     _, reference, _ = tiny_instance(8)
-    cfg_a = DpoConfig(beta=0.3, reference=reference)
-    cfg_b = DpoConfig(beta=0.6, reference=reference)
-    r_a = implicit_reward(policy, cfg_a, sample.context, sample.chosen).item()
-    r_b = implicit_reward(policy, cfg_b, sample.context, sample.chosen).item()
+    r_a = implicit_reward(policy, sample.context, sample.chosen, 0.3, reference).item()
+    r_b = implicit_reward(policy, sample.context, sample.chosen, 0.6, reference).item()
     assert abs(r_b - 2.0 * r_a) <= 1e-10
 
 
 def test_bt_of_implicit_rewards_equals_sigma_beta_logit():
     policy, reference, sample = tiny_instance(9)
-    cfg = DpoConfig(beta=0.3, reference=reference)
-    r_c = implicit_reward(policy, cfg, sample.context, sample.chosen).item()
-    r_r = implicit_reward(policy, cfg, sample.context, sample.rejected).item()
-    p = dpo_logit(policy, cfg, sample).item()
-    sigma = 1.0 / (1.0 + math.exp(-cfg.beta * p))
+    r_c = implicit_reward(policy, sample.context, sample.chosen, 0.3, reference).item()
+    r_r = implicit_reward(policy, sample.context, sample.rejected, 0.3, reference).item()
+    p = dpo_logit(policy, sample, reference).item()
+    sigma = 1.0 / (1.0 + math.exp(-0.3 * p))
     assert abs(bt_probability(r_c, r_r) - sigma) <= 1e-10
 
 
@@ -202,13 +192,13 @@ def test_conversation_sft_loss_rejects_conversation_without_answer_tokens():
 def test_per_token_kl_zero_at_identical_models():
     policy, _, sample = tiny_instance(13)
     frozen = policy.clone(requires_grad=False)
-    assert per_token_kl(policy, frozen, sample.context, sample.chosen).item() == 0.0
+    assert per_token_kl(policy, sample.context, sample.chosen, frozen).item() == 0.0
 
 
 def test_per_token_kl_nonnegative_over_random_pairs():
     for s in range(20):
         policy, reference, sample = tiny_instance(s)
-        assert per_token_kl(policy, reference, sample.context, sample.chosen).item() >= 0.0
+        assert per_token_kl(policy, sample.context, sample.chosen, reference).item() >= 0.0
 
 
 def test_per_token_kl_matches_brute_force():
@@ -219,14 +209,14 @@ def test_per_token_kl_matches_brute_force():
     lp_p = token_logprob_matrix(policy, x_p, y).values
     lp_r = token_logprob_matrix(reference, x_r, y).values
     want = float(np.sum(np.exp(lp_p) * (lp_p - lp_r))) / len(y)
-    got = per_token_kl(policy, reference, sample.context, y).item()
+    got = per_token_kl(policy, sample.context, y, reference).item()
     assert abs(got - want) <= 1e-12
 
 
 def test_kl_penalty_never_decreases_total_loss():
     policy, reference, sample = tiny_instance(15)
     base = sft_loss(policy, sample.context, sample.chosen).item()
-    kl = per_token_kl(policy, reference, sample.context, sample.chosen).item()
+    kl = per_token_kl(policy, sample.context, sample.chosen, reference).item()
     assert kl > 0.0
     for lam in (0.0, 0.1, 1.0):
         assert base + lam * kl >= base
@@ -250,7 +240,10 @@ def test_sequence_logprob_is_sum_of_token_logprobs():
     assert abs(sequence_logprob(policy, sample.context, sample.chosen).item() - want) <= 1e-12
 
 
-def test_dpo_config_rejects_nonpositive_beta():
-    policy, _, _ = tiny_instance(17)
-    with pytest.raises(ValueError):
-        DpoConfig(beta=0.0, reference=policy)
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+def test_beta_must_be_positive(beta):
+    policy, reference, sample = tiny_instance(17)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        dpo_loss(policy, sample, beta, reference)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        implicit_reward(policy, sample.context, sample.chosen, beta, reference)

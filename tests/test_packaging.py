@@ -1,10 +1,12 @@
 """Packaging: every third-party module the code imports is declared, the
 record-to-model-input decision and the scorer each stay in one module,
-the names the benchmark pins exist, every import is read, README's examples
-match the code, and the pytest settings report failures normally."""
+the names the benchmark pins exist, every import is read, every loss takes its
+reference model last, README's examples match the code, and the pytest settings
+report failures normally."""
 
 import ast
 import importlib.util
+import inspect
 import io
 import re
 import subprocess
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from prefalign import losses
 from prefalign.cli import dispatch
 from prefalign.training import METHODS
 
@@ -165,6 +168,18 @@ def test_no_unused_imports():
     assert len(paths) > 20, "the scan found too few files"
     unused = {str(p.relative_to(ROOT)): u for p in paths if (u := _unused_imports(p))}
     assert not unused, f"unused imports (line, name): {unused}"
+
+
+def test_losses_take_the_reference_last():
+    """A lint step: every function in `losses.__all__` with a `reference`
+    parameter takes it last, as the "no reference" default of
+    `packed_logprobs` and `dpo_logit` needs."""
+    params = {name: list(inspect.signature(getattr(losses, name)).parameters)
+              for name in losses.__all__}
+    with_ref = {name: p for name, p in params.items() if "reference" in p}
+    assert len(with_ref) > 3, "the scan found too few functions that take a reference"
+    misplaced = {name: p for name, p in with_ref.items() if p[-1] != "reference"}
+    assert not misplaced, f"reference is not the last parameter: {misplaced}"
 
 
 def test_readme_library_snippet_runs():

@@ -12,7 +12,7 @@ from prefalign.autodiff import finite_diff
 from prefalign import checks
 from prefalign.checks import stacked_finite_diff, stacked_losses, tiny_instance
 from prefalign.data import StepRecord
-from prefalign.losses import DpoConfig, dpo_loss, per_token_kl, sft_loss
+from prefalign.losses import dpo_loss, per_token_kl, sft_loss
 from prefalign.theory import (
     RatioPoint,
     bias_trajectory_report,
@@ -150,10 +150,9 @@ def test_trajectory_report_skips_non_dpo_steps_and_rejects_empty():
 
 def _loss_fns(policy, reference, sample, beta):
     """sft, dpo and kl of `sample` as zero-argument float callables."""
-    cfg = DpoConfig(beta=beta, reference=reference)
     return (lambda: sft_loss(policy, sample.context, sample.chosen).item(),
-            lambda: dpo_loss(policy, cfg, sample).item(),
-            lambda: per_token_kl(policy, reference, sample.context, sample.chosen).item())
+            lambda: dpo_loss(policy, sample, beta, reference).item(),
+            lambda: per_token_kl(policy, sample.context, sample.chosen, reference).item())
 
 
 def _single_losses(policy, reference, sample, beta):

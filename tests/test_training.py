@@ -93,6 +93,10 @@ def test_train_config_validation():
                         ("batch_size", np.float64(4))):
         with pytest.raises(ValueError, match=rf"TrainConfig.{name} must be an integer, got "):
             TrainConfig(**{name: value})
+    # a bool in a float field would train at 1.0 or 0.0
+    for name, value in (("lr", True), ("beta", True), ("kl_weight", False), ("yes_floor", True)):
+        with pytest.raises(ValueError, match=rf"TrainConfig.{name} must be a number, got {value}"):
+            TrainConfig(**{name: value})
     config = TrainConfig(steps=np.int64(3), dim=np.int32(8), lr=1, kl_weight=0)
     assert (config.steps, config.dim) == (3, 8)
     assert set(METHODS) == {"cont_sft", "gt_dpo", "nsft", "sft_kl", "nsft_kl"}
@@ -227,7 +231,7 @@ def _per_sample_loss(params, reference, view, config):
              for latent, question, y, mask in view.rows]
     loss = sum(terms[1:], terms[0])
     if config.method in ("sft_kl", "nsft_kl"):
-        loss = loss + config.kl_weight * per_token_kl(params, reference, sample.context, sample.chosen)
+        loss = loss + config.kl_weight * per_token_kl(params, sample.context, sample.chosen, reference)
     return loss
 
 
@@ -445,7 +449,7 @@ def test_evaluate_model_matches_golden_bit_for_bit():
 def test_kl_drift_is_mean_per_record_per_token_kl():
     params, initial = _eval_models()
     kl_drift = evaluate_model(params, EVAL_RECORDS, initial_model=initial)["kl_drift"]
-    want = np.mean([per_token_kl(params, initial, rec.to_sample().context, rec.chosen).item()
+    want = np.mean([per_token_kl(params, rec.to_sample().context, rec.chosen, initial).item()
                     for rec in EVAL_RECORDS])
     assert kl_drift == pytest.approx(want, rel=1e-12)
 
