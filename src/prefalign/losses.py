@@ -19,7 +19,6 @@ from .model import Batch, batch_logprob_matrix, pack
 
 __all__ = [
     "packed_logprobs",
-    "sequence_logprobs",
     "pair_logprobs",
     "sequence_logprob",
     "sft_loss",
@@ -58,11 +57,6 @@ def packed_logprobs(params, batch, n, reference=None):
         rows = ad.matmul(terms, np.ones(terms.shape[1]))
         kls = ad.matmul(seg[:n, :m] / np.diff(head.offsets)[:, None], rows)
     return position_lp, ad.matmul(seg[:n], position_lp), ad.matmul(seg[n:], position_lp), kls
-
-
-def sequence_logprobs(params, contexts, ys):
-    """log pi(y_b | x_b) for every sample: a (B,) tensor from one packed forward."""
-    return packed_logprobs(params, _pack_contexts(params, contexts, ys), len(ys))[1]
 
 
 def pair_logprobs(params, contexts, chosen, rejected, reference=None):

@@ -14,13 +14,13 @@ __all__ = [
 
 @dataclass
 class CaptionEval:
-    """Objects mentioned per sentence versus the ground-truth object set."""
+    """Objects one caption mentions versus the ground-truth object set."""
 
-    mentioned: list  # list of per-sentence sets of object ids
+    mentioned: set
     ground_truth: set
 
     def __post_init__(self):
-        self.mentioned = [set(s) for s in self.mentioned]
+        self.mentioned = set(self.mentioned)
         self.ground_truth = set(self.ground_truth)
 
 
@@ -33,27 +33,18 @@ class ChairResult:
 def chair(evals):
     """CHAIR over a caption collection.
 
-    chair_i = hallucinated mentions / all mentions and chair_s = sentences
-    with at least one hallucinated object / all sentences. With zero
+    chair_i = hallucinated mentions / all mentions and chair_s = captions
+    with at least one hallucinated object / all captions. With zero
     mentions chair_i is reported as absent while chair_s is still computed.
     """
-    n_sentences = sum(len(e.mentioned) for e in evals)
-    if n_sentences == 0:
-        raise ValueError("chair_s needs at least one sentence")
-    mentions = 0
-    hallucinated = 0
-    bad_sentences = 0
-    for e in evals:
-        for sent in e.mentioned:
-            mentions += len(sent)
-            halluc = sent - e.ground_truth
-            hallucinated += len(halluc)
-            if halluc:
-                bad_sentences += 1
-    chair_s = bad_sentences / n_sentences
+    if not evals:
+        raise ValueError("chair needs at least one caption")
+    mentions = sum(len(e.mentioned) for e in evals)
+    hallucinated = [len(e.mentioned - e.ground_truth) for e in evals]
+    chair_s = sum(h > 0 for h in hallucinated) / len(evals)
     if mentions == 0:
         return ChairResult(None, chair_s)
-    return ChairResult(hallucinated / mentions, chair_s)
+    return ChairResult(sum(hallucinated) / mentions, chair_s)
 
 
 def object_recall(evals):
@@ -63,5 +54,4 @@ def object_recall(evals):
     total = sum(len(e.ground_truth) for e in evals)
     if total == 0:
         return None
-    return sum(len(e.ground_truth.intersection(set().union(*e.mentioned))) for e in evals) / total
-
+    return sum(len(e.ground_truth & e.mentioned) for e in evals) / total

@@ -325,8 +325,9 @@ def save_checkpoint(params, path):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; ValueError on a gap in the block indices, on
-    shapes that disagree with each other, or on a non-finite value."""
+    """Read a checkpoint; ValueError on a gap in the block indices, on a
+    missing or unexpected array, on shapes that disagree with each other,
+    or on a non-finite value."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("version") != CHECKPOINT_VERSION:
@@ -343,6 +344,10 @@ def load_checkpoint(path):
     block_ids = sorted({int(k.split(".")[1]) for k in arrays if k.startswith("blocks.")})
     if block_ids != list(range(len(block_ids))):
         raise ValueError(f"checkpoint block indices {block_ids} are not 0..n-1")
+    names = {"embed", "img_proj", "out", *(f"blocks.{i}.w{j}" for i in block_ids for j in "12")}
+    if set(arrays) != names:
+        raise ValueError(f"checkpoint arrays: unexpected {sorted(set(arrays) - names)}, "
+                         f"missing {sorted(names - set(arrays))}")
     params = ModelParams(
         embed=t("embed"),
         img_proj=t("img_proj"),

@@ -24,7 +24,6 @@ from .losses import (
     dpo_margin_loss,
     packed_logprobs,
     pair_logprobs,
-    sequence_logprobs,
 )
 from .metrics import CaptionEval, chair, object_recall
 from .theory import bias_trajectory_report
@@ -138,62 +137,58 @@ class TrainConfig:
 
 def cosine_lr(step, total, base_lr):
     """base_lr * (1 + cos(pi * step / total)) / 2, nonincreasing in step."""
-    if not 0 <= step <= total:
-        raise ValueError("need 0 <= step <= total")
+    if not 0 <= step <= total or total < 1:
+        raise ValueError("need 0 <= step <= total and total >= 1")
     return base_lr * (1.0 + math.cos(math.pi * step / total)) / 2.0
 
 
-@dataclass
-class _SampleView:
-    sample: object  # PreferenceSample
-    rows: list      # flattened conversations (`Conversation.flatten`), the chosen caption first
-    ref_logprob_chosen: float | None = None
-    ref_logprob_rejected: float | None = None
+def _caption_rows(samples):
+    """Each sample's (chosen, rejected) caption rows, flattened once."""
+    return [tuple(s.caption_conversation(y).flatten() for y in (s.chosen, s.rejected))
+            for s in samples]
 
 
 def build_training_views(records, config: TrainConfig, reference=None):
-    """Precompute per-record training material, each row flattened once:
-    the chosen caption, then the method's row. The rejected row comes with
-    frozen-reference sequence log-probs, so it needs `reference`
-    (ValueError without it)."""
+    """Per-record training rows, each flattened once: a view is the tuple of
+    the chosen caption, the rejected caption and, where the method's row is
+    "constructed", nSFT's conversation. Returns (views, ref_scores), where
+    ref_scores is an (R, 2) array of the frozen reference's chosen and
+    rejected sequence log-probs where the row is "rejected" (ValueError
+    without `reference`), and None otherwise."""
     row = METHODS[config.method].row
     if row == "rejected" and reference is None:
         raise ValueError(f"{config.method} training views need a reference model")
     samples = [rec.to_sample() for rec in records]
-    if row == "rejected":
-        ref_c, ref_r, _ = _score_pairs(reference, samples)
-    views = []
-    for r, (rec, sample) in enumerate(zip(records, samples)):
-        view = _SampleView(sample, [sample.caption_conversation(sample.chosen).flatten()])
-        if row == "rejected":
-            view.rows.append(sample.caption_conversation(sample.rejected).flatten())
-            view.ref_logprob_chosen, view.ref_logprob_rejected = ref_c[r], ref_r[r]
-        elif row == "constructed":
-            conv = nsft_conversation(rec, sample.context.image_latent, config.construct_k,
-                                     config.yes_floor, rec.seed)
-            view.rows.append(conv.flatten())
-        views.append(view)
-    return views
+    views = _caption_rows(samples)
+    if row == "constructed":
+        views = [rows + (nsft_conversation(rec, s.context.image_latent, config.construct_k,
+                                           config.yes_floor, rec.seed).flatten(),)
+                 for rows, rec, s in zip(views, records, samples)]
+    if row != "rejected":
+        return views, None
+    return views, np.column_stack(_score_pairs(reference, samples)[:2])
 
 
-def batch_loss(params, reference, views, config: TrainConfig):
+def batch_loss(params, reference, views, config: TrainConfig, ref_scores=None):
     """One step's batch-mean loss as one packed graph, plus per-sample
     logging arrays: chosen and rejected sequence log-probs for every
     method, and t1, t2 and the margin where the rejected row selects it.
 
-    Every method packs its views' rows alike, the n chosen captions first.
-    With the rejected row the loss is the margin between those and the
-    rejected captions after them; otherwise it is the masked SFT loss summed
-    over every row, plus the entry's KL to the reference on the chosen ones."""
+    Every method packs the n chosen captions first. With the rejected row
+    the rejected captions follow them, and the loss is the margin between
+    the two over `ref_scores`' rows; otherwise nSFT's conversations follow,
+    and the loss is the masked SFT loss summed over every row, plus the
+    entry's KL to the reference on the chosen ones."""
     method = METHODS[config.method]
     n = len(views)
-    rows = [v.rows[0] for v in views] + [r for v in views for r in v.rows[1:]]
+    # the SFT family trains every row but the rejected caption, which it only logs
+    rest = 1 if method.row == "rejected" else 2
+    rows = [v[0] for v in views] + [r for v in views for r in v[rest:]]
     position_lp, lp_c, lp_rest, kl = packed_logprobs(params, pack(params, *zip(*rows)), n,
                                                      reference if method.kl else None)
 
     if method.row == "rejected":
-        ref_c = np.array([v.ref_logprob_chosen for v in views])
-        ref_r = np.array([v.ref_logprob_rejected for v in views])
+        ref_c, ref_r = ref_scores[:, 0], ref_scores[:, 1]
         p = dpo_margin(lp_c, lp_rest, ref_c, ref_r)
         loss = ad.tsum(dpo_margin_loss(p, config.beta)) / n
         return loss, {"lp_c": lp_c.values, "lp_r": lp_rest.values, "p_dpo": p.values,
@@ -202,8 +197,8 @@ def batch_loss(params, reference, views, config: TrainConfig):
     loss = -ad.tsum(position_lp)
     if kl is not None:
         loss = ad.add(loss, config.kl_weight * ad.tsum(kl))
-    lp_r = sequence_logprobs(params.frozen(), [v.sample.context for v in views],
-                             [v.sample.rejected for v in views]).values
+    frozen = params.frozen()
+    lp_r = packed_logprobs(frozen, pack(frozen, *zip(*[v[1] for v in views])), n)[1].values
     return loss / n, {"lp_c": lp_c.values, "lp_r": lp_r}
 
 
@@ -240,18 +235,20 @@ def train(config: TrainConfig, records, init_model=None):
     reference = init_model.clone(requires_grad=False)
     ref_hash = params_hash(reference)
 
-    views = build_training_views(records, config, reference=reference)
+    views, ref_scores = build_training_views(records, config, reference=reference)
     tensors = params.tensors()
     rng = np.random.default_rng(config.seed)
     log = []
 
     for step in range(config.steps):
         lr = cosine_lr(step, config.steps, config.lr)
-        batch = [views[int(i)] for i in rng.integers(0, len(views), size=config.batch_size)]
-        loss, stats = batch_loss(params, reference, batch, config)
+        idx = rng.integers(0, len(views), size=config.batch_size)
+        batch = [views[i] for i in idx.tolist()]
+        loss, stats = batch_loss(params, reference, batch, config,
+                                 None if ref_scores is None else ref_scores[idx])
         loss_value = _sgd_step(tensors, loss, lr, step)
         del loss  # free this step's graph before the next is built
-        probe = [v.rows[0] for v in batch[:4]]  # KL to the reference, after the update
+        probe = [v[0] for v in batch[:4]]  # KL to the reference, after the update
         kl = packed_logprobs(params.frozen(), pack(params, *zip(*probe)), len(probe),
                              reference)[3]
         log.append(StepRecord(
@@ -292,13 +289,9 @@ def make_base_model(records, dim=64, n_blocks=2, steps=8000, batch_size=16):
     params = init_params(VOCAB_SIZE, dim, latent_dim(), n_blocks=n_blocks, seed=_PRETRAIN_SEED)
     rng = np.random.default_rng(_PRETRAIN_SEED)
     tensors = params.tensors()
-    # per record, index 0 is the clean belief and index 1 the noisy one;
-    # each caption item is flattened once, here
+    # per record, index 0 is the clean belief and index 1 the noisy one
     clauses = [(list(rec.scene.objects), parse_caption(rec.rejected)) for rec in records]
-    latents, captions = [], []
-    for s in map(PreferenceRecord.to_sample, records):
-        latents.append(s.context.image_latent)
-        captions.append(tuple(s.caption_conversation(y).flatten() for y in (s.chosen, s.rejected)))
+    captions = _caption_rows(map(PreferenceRecord.to_sample, records))
     for step in range(steps):
         step_lr = cosine_lr(step, steps, _PRETRAIN_LR)
         idx = rng.integers(0, len(records), size=batch_size)
@@ -307,7 +300,7 @@ def make_base_model(records, dim=64, n_blocks=2, steps=8000, batch_size=16):
             noisy = int(rng.random() < _NOISY_FRAC)
             if rng.random() < _QA_FRAC:
                 turns = qa_turns_from_clauses(clauses[i][noisy], rng, int(rng.integers(2, 5)))
-                items.append(Conversation(latents[i], turns).flatten())
+                items.append(Conversation(captions[i][0][0], turns).flatten())  # the image latent
             else:
                 items.append(captions[i][noisy])
         batch = pack(params, *zip(*items))
@@ -374,7 +367,7 @@ def evaluate_model(params, eval_records, initial_model, max_decode_len=16):
     samples = [rec.to_sample() for rec in eval_records]
     chosen, rejected, kls = _score_pairs(params, samples, initial_model)
     captions = _decode_records(params, samples, max_decode_len)
-    evals = [CaptionEval([{t - OBJECT_TOKEN_BASE for t in decoded if t in _OBJECT_TOKEN_RANGE}],
+    evals = [CaptionEval({t - OBJECT_TOKEN_BASE for t in decoded if t in _OBJECT_TOKEN_RANGE},
                          rec.scene.object_ids())
              for rec, decoded in zip(eval_records, captions)]
     result = chair(evals)

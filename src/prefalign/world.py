@@ -96,7 +96,6 @@ class SceneObject:
 @dataclass
 class Scene:
     objects: list[SceneObject]
-    seed: int = -1
 
     def __post_init__(self):
         if not 1 <= len(self.objects) <= _MAX_OBJECTS:
@@ -149,10 +148,7 @@ def generate_scene(seed):
     objs = rng.choice(len(OBJECTS), size=n, replace=False)
     colors = rng.integers(0, len(COLORS), size=n)
     counts = rng.integers(1, len(COUNT_WORDS) + 1, size=n)
-    return Scene(
-        objects=[SceneObject(int(o), int(c), int(k)) for o, c, k in zip(objs, colors, counts)],
-        seed=int(seed),
-    )
+    return Scene([SceneObject(int(o), int(c), int(k)) for o, c, k in zip(objs, colors, counts)])
 
 
 def latent_dim():
@@ -395,10 +391,9 @@ class PreferenceRecord:
 
     @classmethod
     def from_dict(cls, d):
-        scene = Scene([SceneObject(*o) for o in d["scene"]], seed=d["seed"])
         return cls(
             seed=d["seed"],
-            scene=scene,
+            scene=Scene([SceneObject(*o) for o in d["scene"]]),
             chosen=list(d["chosen_tokens"]),
             rejected=list(d["rejected_tokens"]),
             corruptions=[Corruption.from_dict(c) for c in d["corruptions"]],

@@ -76,10 +76,10 @@ def test_closed_form_anchors():
 
 
 def test_chair_reference_values_and_boundaries():
-    r = chair([CaptionEval([{1, 2, 3}], {1, 2})])
+    r = chair([CaptionEval({1, 2, 3}, {1, 2})])
     exact = (r.chair_i == 1.0 / 3.0 and r.chair_s == 1.0)
-    lo = chair([CaptionEval([{1}], {1, 2})])
-    hi = chair([CaptionEval([{9}], {1})])
+    lo = chair([CaptionEval({1}, {1, 2})])
+    hi = chair([CaptionEval({9}, {1})])
     bounds = ((lo.chair_i, lo.chair_s) == (0.0, 0.0)
               and (hi.chair_i, hi.chair_s) == (1.0, 1.0))
     _criterion("CHAIR worked example exact and boundary cases",

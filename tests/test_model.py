@@ -363,10 +363,21 @@ def _nan_in_embed(arrays):
     arrays["embed"]["values"][3] = float("nan")
 
 
-@pytest.mark.parametrize("corrupt", [_drop_block_0, _shrink_out, _nan_in_embed],
-                         ids=["block_index_gap", "shape_mismatch", "non_finite"])
-def test_checkpoint_rejects_inconsistent_contents(tmp_path, corrupt):
-    with pytest.raises(ValueError):
+def _extra_array(arrays):
+    arrays["extra"] = {"shape": [1, 1], "values": [0.0]}
+
+
+def _drop_block_0_w2(arrays):
+    del arrays["blocks.0.w2"]
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (_drop_block_0, "block indices"), (_shrink_out, "shape"), (_nan_in_embed, "non-finite"),
+    (_extra_array, r"unexpected \['extra'\], missing \[\]"),
+    (_drop_block_0_w2, r"unexpected \[\], missing \['blocks.0.w2'\]"),
+], ids=["block_index_gap", "shape_mismatch", "non_finite", "extra_array", "missing_array"])
+def test_checkpoint_rejects_inconsistent_contents(tmp_path, corrupt, match):
+    with pytest.raises(ValueError, match=match):
         load_checkpoint(_corrupted_checkpoint(tmp_path, corrupt))
 
 

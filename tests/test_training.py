@@ -70,6 +70,8 @@ def test_cosine_lr_nonincreasing_and_validated():
         cosine_lr(-1, 10, 1.0)
     with pytest.raises(ValueError):
         cosine_lr(11, 10, 1.0)
+    with pytest.raises(ValueError):
+        cosine_lr(0, 0, 1.0)  # passes 0 <= step <= total, then would divide by zero
 
 
 def test_train_config_validation():
@@ -216,19 +218,19 @@ def test_step_records_match_per_sample_golden(method):
                 assert relative_error(got, w, floor=1e-6) <= 1e-10, (field, got, w)
 
 
-def _per_sample_loss(params, reference, view, config):
-    """One sample's loss from the single-sample functions, as the
-    training loop built it before batches were packed."""
-    sample = view.sample
+def _per_sample_loss(params, reference, i, views, ref_scores, config):
+    """Sample i's loss from the single-sample functions, as the training
+    loop built it before batches were packed."""
+    sample = RECORDS[i].to_sample()
     if config.method == "gt_dpo":
         lp_c = sequence_logprob(params, sample.context, sample.chosen)
         lp_r = sequence_logprob(params, sample.context, sample.rejected)
-        p = dpo_margin(lp_c, lp_r, view.ref_logprob_chosen, view.ref_logprob_rejected)
+        p = dpo_margin(lp_c, lp_r, *ref_scores[i])
         return dpo_margin_loss(p, config.beta)
-    # the SFT family: one graph per row (the chosen caption, then nSFT's
-    # constructed conversation), summed
+    # the SFT family: one graph per trained row (the chosen caption, then
+    # nSFT's constructed conversation), summed
     terms = [sft_loss(params, InputContext(latent, question), y, mask)
-             for latent, question, y, mask in view.rows]
+             for latent, question, y, mask in views[i][:1] + views[i][2:]]
     loss = sum(terms[1:], terms[0])
     if config.method in ("sft_kl", "nsft_kl"):
         loss = loss + config.kl_weight * per_token_kl(params, sample.context, sample.chosen, reference)
@@ -240,13 +242,16 @@ def test_packed_batch_loss_matches_per_sample_graphs(method):
     config = _config(method=method, batch_size=8)
     params = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=0)
     reference = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=1, requires_grad=False)
-    views = build_training_views(RECORDS, config, reference=reference)
-    batch = [views[int(i)] for i in np.random.default_rng(3).integers(0, len(views), size=8)]
+    views, ref_scores = build_training_views(RECORDS, config, reference=reference)
+    assert (ref_scores is None) == (METHODS[method].row != "rejected")
+    idx = np.random.default_rng(3).integers(0, len(views), size=8)
+    batch = [views[i] for i in idx]
 
-    packed, stats = batch_loss(params, reference, batch, config)
-    total = _per_sample_loss(params, reference, batch[0], config)
-    for view in batch[1:]:
-        total = total + _per_sample_loss(params, reference, view, config)
+    packed, stats = batch_loss(params, reference, batch, config,
+                               None if ref_scores is None else ref_scores[idx])
+    total = _per_sample_loss(params, reference, idx[0], views, ref_scores, config)
+    for i in idx[1:]:
+        total = total + _per_sample_loss(params, reference, i, views, ref_scores, config)
     total = total / len(batch)
     assert relative_error(packed.item(), total.item()) <= 1e-10
     g_packed = backward(packed, params.tensors())
@@ -254,8 +259,9 @@ def test_packed_batch_loss_matches_per_sample_graphs(method):
     for t in params.tensors():
         assert np.max(np.abs(g_packed[t] - g_total[t])) <= 1e-10 * np.max(np.abs(g_total[t]))
 
-    lp_c = [sequence_logprob(params, v.sample.context, v.sample.chosen).item() for v in batch]
-    lp_r = [sequence_logprob(params, v.sample.context, v.sample.rejected).item() for v in batch]
+    samples = [RECORDS[i].to_sample() for i in idx]
+    lp_c = [sequence_logprob(params, s.context, s.chosen).item() for s in samples]
+    lp_r = [sequence_logprob(params, s.context, s.rejected).item() for s in samples]
     assert relative_error(stats["lp_c"], lp_c) <= 1e-10
     assert relative_error(stats["lp_r"], lp_r) <= 1e-10
 
@@ -263,8 +269,8 @@ def test_packed_batch_loss_matches_per_sample_graphs(method):
 def test_pruned_positions_match_masked_full_batch():
     # nSFT conversations: follow-up questions are prefix only, no position
     params = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=0)
-    views = build_training_views(RECORDS[:4], _config(method="nsft"))
-    latents, questions, ys, masks = zip(*[v.rows[0] for v in views], *[v.rows[1] for v in views])
+    views, _ = build_training_views(RECORDS[:4], _config(method="nsft"))
+    latents, questions, ys, masks = zip(*[v[0] for v in views], *[v[2] for v in views])
     pruned = batch_sft_loss(params, pack(params, latents, questions, ys, masks))
     full = pack(params, latents, questions, ys)
     mask = np.concatenate(masks).astype(np.float64)
@@ -308,18 +314,27 @@ def test_gt_dpo_logs_ratio_statistics_and_sft_does_not():
 
 
 def test_training_views_constructed_only_for_nsft_methods():
-    # every view's first row is its chosen caption; gt_dpo adds the rejected
-    # caption and nSFT the constructed conversation, which opens with a QA turn
+    # every view's rows are its chosen caption, then its rejected caption;
+    # nSFT adds the constructed conversation, which opens with a QA turn
     reference = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=0, requires_grad=False)
     for method in ("cont_sft", "gt_dpo", "nsft"):
-        for v in build_training_views(RECORDS, _config(method=method), reference=reference):
-            s = v.sample
-            assert v.rows[0][1:] == (s.context.question, s.chosen, [True] * len(s.chosen))
-            assert len(v.rows) == (1 if method == "cont_sft" else 2)
-            if method == "gt_dpo":
-                assert v.rows[1][1:] == (s.context.question, s.rejected, [True] * len(s.rejected))
-            elif method == "nsft":
-                assert v.rows[1][1] != s.context.question
+        views, ref_scores = build_training_views(RECORDS, _config(method=method),
+                                                 reference=reference)
+        samples = [rec.to_sample() for rec in RECORDS]
+        if method == "gt_dpo":  # the frozen reference's chosen and rejected sequence log-probs
+            want = [[sequence_logprob(reference, s.context, y).item() for y in (s.chosen, s.rejected)]
+                    for s in samples]
+            assert relative_error(ref_scores, np.array(want)) <= 1e-10
+        else:
+            assert ref_scores is None
+        assert len(views) == len(RECORDS)
+        for v, s in zip(views, samples):
+            assert np.array_equal(v[0][0], s.context.image_latent)
+            assert v[0][1:] == (s.context.question, s.chosen, [True] * len(s.chosen))
+            assert v[1][1:] == (s.context.question, s.rejected, [True] * len(s.rejected))
+            assert len(v) == (3 if method == "nsft" else 2)
+            if method == "nsft":
+                assert v[2][1] != s.context.question
 
 
 def test_gt_dpo_views_without_reference_fail_early():
@@ -331,8 +346,8 @@ def test_nsft_at_one_constructed_turn_keeps_every_conversation():
     # at k=1, 12 of these 50 conversations hold only 'No' turns, no 'Yes'
     # turn to balance them; erasing them would leave nothing (and warn)
     records = world.make_preference_dataset(50, 0)
-    views = build_training_views(records, _config(method="nsft", construct_k=1))
-    assert all(len(v.rows) == 2 for v in views)
+    views, _ = build_training_views(records, _config(method="nsft", construct_k=1))
+    assert all(len(v) == 3 for v in views)
     train(TrainConfig(method="nsft", construct_k=1, steps=3, dim=8), records)
 
 
