@@ -113,8 +113,8 @@ def stacked_losses(reference, sample, beta):
     pair batch and the unstacked reference's log-probabilities are built
     once, here.
     """
-    batch = pack(reference, [sample.context.image_latent] * 2, [sample.context.question] * 2,
-                 [sample.chosen, sample.rejected])
+    batch = pack(reference, [sample.context.caption_conversation(y).flatten()
+                             for y in (sample.chosen, sample.rejected)])
     rows, n = np.arange(len(batch.targets)), batch.offsets[1]
     lp_ref = batch_logprob_matrix(reference.frozen(), batch).values
     pos_ref = lp_ref[rows, batch.targets]

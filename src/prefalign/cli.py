@@ -84,10 +84,9 @@ def _cmd_construct(args):
     records = world.read_dataset_jsonl(args.input)
     out_records = []
     for rec in records:
-        sample = rec.to_sample()
-        conv = nsft_conversation(rec, sample.context.image_latent, args.k, args.yes_floor,
+        gt = rec.to_sample().context.caption_conversation(rec.chosen)
+        conv = nsft_conversation(rec, gt.image_latent, args.k, args.yes_floor,
                                  args.seed + rec.seed)
-        gt = sample.caption_conversation(rec.chosen)
         image_ref = f"seed://{rec.seed}"
         # the two conversations the nSFT loss consumes separately
         out_records.append(conversation_to_llava_record(gt, f"scene-{rec.seed}/gt", image_ref))

@@ -1,6 +1,6 @@
 """Shared data types (contexts, preference samples, conversations, logs)
-and the one artifact format: compact sorted JSON, JSONL with blank lines
-skipped, and CSV with floats as repr and None as an empty cell."""
+and the one artifact format: compact sorted JSON, one such object per
+JSONL line, and CSV with floats as repr and None as an empty cell."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ __all__ = [
     "StepRecord",
     "write_json",
     "write_jsonl",
-    "read_jsonl",
     "write_csv",
 ]
 
@@ -35,11 +34,6 @@ def write_json(obj, path):
 def write_jsonl(objs, path):
     with open(path, "w") as fh:
         fh.writelines(_dumps(obj) + "\n" for obj in objs)
-
-
-def read_jsonl(path):
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
 
 
 def write_csv(header, rows, path):
@@ -64,6 +58,11 @@ class InputContext:
         if not np.all(np.isfinite(self.image_latent)):
             raise ValueError("image latent must be finite")
 
+    def caption_conversation(self, caption):
+        """One GT turn: this context's question answered by `caption`. Its
+        `flatten()` is the caption's model-input row."""
+        return Conversation(self.image_latent, [Turn(list(self.question), list(caption))])
+
 
 @dataclass
 class PreferenceSample:
@@ -76,11 +75,6 @@ class PreferenceSample:
     def __post_init__(self):
         if not self.chosen or not self.rejected:
             raise ValueError("chosen and rejected must be non-empty")
-
-    def caption_conversation(self, caption):
-        """One GT turn: this sample's question answered by `caption`."""
-        ctx = self.context
-        return Conversation(ctx.image_latent, [Turn(list(ctx.question), list(caption))])
 
 
 @dataclass
@@ -100,8 +94,8 @@ class Conversation:
         self.image_latent = np.asarray(self.image_latent, dtype=np.float64)
 
     def flatten(self):
-        """Collapse turns into one packable row, (image_latent, question0,
-        y, mask), for a single SFT pass.
+        """Collapse turns into one row, (image_latent, question0, y, mask),
+        the model's one input: `model.pack` takes a list of them.
 
         y concatenates answer/question/answer/... after the first
         question; only answer tokens are loss-masked.

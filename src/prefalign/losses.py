@@ -3,8 +3,8 @@
 Sequence log-probabilities are plain sums over positions; nothing is
 length-normalized, so the reference-free DPO logit is exactly the
 negated difference of the two SFT losses. Every sequence log-prob and
-KL comes from `packed_logprobs`, one forward of many sequences packed
-by `model.pack`; the single-sample forms are batches of one. A
+KL comes from `packed_logprobs`, one forward of many rows packed by
+`model.pack`; the single-sample forms pack a context's caption rows. A
 function that reads a reference model takes it last, and runs it
 through `frozen()`, so it contributes constants only.
 """
@@ -19,7 +19,6 @@ from .model import Batch, batch_logprob_matrix, pack
 
 __all__ = [
     "packed_logprobs",
-    "pair_logprobs",
     "sequence_logprob",
     "sft_loss",
     "batch_sft_loss",
@@ -34,8 +33,9 @@ __all__ = [
 ]
 
 
-def _pack_contexts(params, contexts, ys):
-    return pack(params, [c.image_latent for c in contexts], [c.question for c in contexts], ys)
+def _caption_batch(params, context, ys):
+    """One packed `Batch` of `context`'s caption rows, one per answer in `ys`."""
+    return pack(params, [context.caption_conversation(y).flatten() for y in ys])
 
 
 def packed_logprobs(params, batch, n, reference=None):
@@ -59,25 +59,17 @@ def packed_logprobs(params, batch, n, reference=None):
     return position_lp, ad.matmul(seg[:n], position_lp), ad.matmul(seg[n:], position_lp), kls
 
 
-def pair_logprobs(params, contexts, chosen, rejected, reference=None):
-    """(log pi(y_c | x), log pi(y_r | x), KL) for every sample: (B,) tensors
-    from one packed forward; the KL is each chosen caption's `per_token_kl`
-    from `reference`, or None without one."""
-    batch = _pack_contexts(params, list(contexts) * 2, list(chosen) + list(rejected))
-    return packed_logprobs(params, batch, len(chosen), reference)[1:]
-
-
 def sequence_logprob(params, context: InputContext, y):
     """log pi(y | x) as a scalar tensor (sum of per-token log-probs)."""
-    return ad.tsum(packed_logprobs(params, _pack_contexts(params, [context], [y]), 1)[0])
+    return ad.tsum(packed_logprobs(params, _caption_batch(params, context, [y]), 1)[0])
 
 
 def sft_loss(params, context: InputContext, y, mask=None):
     """Cross-entropy over masked answer positions: -sum log pi(y_i|y_<i,x)."""
-    if mask is None:
-        mask = [True] * len(y)
-    return batch_sft_loss(params, pack(params, [context.image_latent], [context.question], [y],
-                                       [mask]))
+    row = context.caption_conversation(y).flatten()
+    if mask is not None:
+        row = (*row[:3], list(mask))
+    return batch_sft_loss(params, pack(params, [row]))
 
 
 def batch_sft_loss(params, batch):
@@ -101,11 +93,11 @@ def dpo_margin_loss(p, beta):
 def dpo_logit(policy, sample: PreferenceSample, reference=None):
     """log-ratio margin between chosen and rejected, minus `reference`'s;
     without one, the negated difference of the two SFT losses."""
-    pair = [sample.context], [sample.chosen], [sample.rejected]
-    lp_c, lp_r, _ = pair_logprobs(policy, *pair)
+    batch = _caption_batch(policy, sample.context, [sample.chosen, sample.rejected])
+    lp_c, lp_r = packed_logprobs(policy, batch, 1)[1:3]
     if reference is None:
         return ad.tsum(lp_c - lp_r)
-    ref_c, ref_r, _ = pair_logprobs(reference.frozen(), *pair)
+    ref_c, ref_r = packed_logprobs(reference.frozen(), batch, 1)[1:3]
     return ad.tsum(dpo_margin(lp_c, lp_r, ref_c, ref_r))
 
 
@@ -133,10 +125,9 @@ def implicit_reward(policy, context, y, beta, reference):
 def conversation_sft_loss(params, conversation: Conversation):
     """Masked SFT loss over a flattened multi-turn conversation: its one
     packed row, whose positions are the loss-carrying answer tokens."""
-    return batch_sft_loss(params, pack(params, *zip(conversation.flatten())))
+    return batch_sft_loss(params, pack(params, [conversation.flatten()]))
 
 
 def per_token_kl(policy, context: InputContext, y, reference):
     """Mean over positions of KL(pi_policy(.|prefix) || pi_ref(.|prefix))."""
-    batch = _pack_contexts(policy, [context], [y])
-    return ad.tsum(packed_logprobs(policy, batch, 1, reference)[3])
+    return ad.tsum(packed_logprobs(policy, _caption_batch(policy, context, [y]), 1, reference)[3])

@@ -132,15 +132,11 @@ def encode_context(params, image_latent, question):
     return ad.concat_rows([img_slot, q_emb])
 
 
-def _mlp(params, h):
+def _head(params, h):
+    """Next-token log-probabilities from prefix means h, one row each."""
     for w1, w2 in params.blocks:
         h = ad.mlp_block(h, w1, w2)
-    return h
-
-
-def _head(params, means):
-    """Next-token log-probabilities from prefix means, one row each."""
-    return ad.log_softmax(ad.matmul(_mlp(params, means), params.out))
+    return ad.log_softmax(ad.matmul(h, params.out))
 
 
 @dataclass
@@ -176,33 +172,30 @@ def _token_counts(tokens, lo, hi, vocab_size):
     return csum.take(hi, axis=0) - csum.take(lo, axis=0)
 
 
-def pack(params, latents, questions, ys, masks=None):
-    """Pack (image latent, question, answer) triples into one `Batch`.
+def pack(params, rows):
+    """Pack rows (image_latent, question, y, mask), as `Conversation.flatten`
+    gives them, into one `Batch`.
 
-    With `masks`, answer token i of sample b is a position only where
-    ``masks[b][i]`` is true. Raises ValueError on no samples, on unequal
-    counts of latents, questions, answers and masks, a latent of the wrong
-    size, an empty question or answer, a mask of the wrong length or one
-    that selects no position, or a token id outside [0, V).
+    Answer token i of row b is a position only where ``mask[i]`` is true.
+    Raises ValueError on no rows, a latent of the wrong size, an empty
+    question or answer, a mask of the wrong length or one that selects no
+    position, or a token id outside [0, V).
     """
-    counts = [len(latents), len(questions), len(ys)] + ([] if masks is None else [len(masks)])
-    if len(set(counts)) != 1 or not counts[0]:
-        raise ValueError(f"need >= 1 sample and equal latent, question, y, mask counts: {counts}")
-    latents = np.asarray(latents, dtype=np.float64)
-    if latents.ndim != 2 or latents.shape[1] != params.latent_dim:
+    if not len(rows):
+        raise ValueError("need >= 1 row")
+    latents = np.array([row[0] for row in rows], dtype=np.float64)  # ValueError if ragged
+    if latents.shape != (len(rows), params.latent_dim):
         raise ValueError(f"latent dim {latents.shape[1:]} != ({params.latent_dim},)")
     # a position's prefix is tokens[lo:lo + end] and its target the token after it
     tokens, lo, ends, sample, offsets = [], [], [], [], [0]
-    for b, (question, y) in enumerate(zip(questions, ys)):
+    for b, (_, question, y, mask) in enumerate(rows):
         if not len(question) or not len(y):
             raise ValueError("question and y must be non-empty")
-        positions = range(len(question), len(question) + len(y))
-        if masks is not None:
-            if len(masks[b]) != len(y):
-                raise ValueError("mask length must equal |y|")
-            positions = list(compress(positions, masks[b]))
-            if not positions:
-                raise ValueError(f"sample {b}'s mask selects no position")
+        if len(mask) != len(y):
+            raise ValueError("mask length must equal |y|")
+        positions = list(compress(range(len(question), len(question) + len(y)), mask))
+        if not positions:
+            raise ValueError(f"sample {b}'s mask selects no position")
         lo += [len(tokens)] * len(positions)
         ends += positions
         sample += [b] * len(positions)
@@ -265,23 +258,24 @@ def greedy_decode(params, x, max_len):
     return _decode(params, np.cumsum(x.values, axis=0)[-1:], [x.values.shape[0]], max_len)[0]
 
 
-def greedy_decode_batch(params, latents, questions, max_len):
-    """`greedy_decode` of many (image latent, question) contexts at once;
-    no contexts decode to []. Raises ValueError on a latent of the wrong
-    size, an empty question or a token id outside [0, V)."""
-    if len(questions) == len(latents) == 0:
+def greedy_decode_batch(params, rows, max_len):
+    """`greedy_decode` of each row's (image latent, question) context at
+    once; a row's answer and mask are not read, and no rows decode to [].
+    Raises ValueError on a latent of the wrong size, an empty question or
+    a token id outside [0, V)."""
+    if not len(rows):
         return []
-    latents = np.asarray(latents, dtype=np.float64)
-    if latents.shape != (len(questions), params.latent_dim):
-        raise ValueError(f"need one latent of size {params.latent_dim} per question")
-    ids = [t for q in questions for t in q]
-    if not all(questions) or min(ids) < 0 or max(ids) >= params.vocab_size:
+    latents = np.array([row[0] for row in rows], dtype=np.float64)  # ValueError if ragged
+    if latents.shape != (len(rows), params.latent_dim):
+        raise ValueError(f"need one latent of size {params.latent_dim} per row")
+    ids = [t for row in rows for t in row[1]]
+    lengths = [len(row[1]) for row in rows]
+    if not all(lengths) or min(ids) < 0 or max(ids) >= params.vocab_size:
         raise ValueError("questions must be non-empty with ids in [0, V)")
     # add.at sums each context's question embeddings onto its image slot left
     # to right, the float order of greedy_decode's cumsum over context rows
-    lengths = [len(q) for q in questions]
     sums = latents @ params.img_proj.values
-    np.add.at(sums, np.repeat(np.arange(len(questions)), lengths), params.embed.values[ids])
+    np.add.at(sums, np.repeat(np.arange(len(rows)), lengths), params.embed.values[ids])
     return _decode(params, sums, [1 + n for n in lengths], max_len)
 
 
@@ -325,17 +319,23 @@ def save_checkpoint(params, path):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; ValueError on a gap in the block indices, on a
-    missing or unexpected array, on shapes that disagree with each other,
-    or on a non-finite value."""
+    """Read a checkpoint; ValueError on a file that is not a JSON object with
+    an "arrays" object, an array entry without "shape" and "values", a gap
+    in the block indices, a missing or unexpected array, shapes that
+    disagree with each other, or a non-finite value."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {doc.get('version')}")
-    arrays = doc["arrays"]
+    if not isinstance(arrays := doc.get("arrays"), dict):
+        raise ValueError('checkpoint has no "arrays" object')
 
     def t(name):
         a = arrays[name]
+        if not isinstance(a, dict) or not {"shape", "values"} <= a.keys():
+            raise ValueError(f'checkpoint array {name} needs "shape" and "values"')
         values = np.array(a["values"], dtype=np.float64).reshape(a["shape"])
         if not np.all(np.isfinite(values)):
             raise ValueError(f"checkpoint tensor {name} has non-finite values")

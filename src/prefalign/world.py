@@ -8,11 +8,13 @@ captions. All generation is a pure function of integer seeds.
 
 from __future__ import annotations
 
+import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import InputContext, PreferenceSample, read_jsonl, write_jsonl
+from .data import InputContext, PreferenceSample, write_jsonl
 
 __all__ = [
     "OBJECTS",
@@ -391,12 +393,21 @@ class PreferenceRecord:
 
     @classmethod
     def from_dict(cls, d):
+        """ValueError naming the field that is missing or malformed."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a record must be a JSON object, got {type(d).__name__}")
+        def get(key, convert):
+            try:
+                return convert(d[key])
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"field {key!r} is missing or malformed: {exc!r}") from None
+
         return cls(
-            seed=d["seed"],
-            scene=Scene([SceneObject(*o) for o in d["scene"]]),
-            chosen=list(d["chosen_tokens"]),
-            rejected=list(d["rejected_tokens"]),
-            corruptions=[Corruption.from_dict(c) for c in d["corruptions"]],
+            seed=get("seed", operator.index),
+            scene=get("scene", lambda v: Scene([SceneObject(*o) for o in v])),
+            chosen=get("chosen_tokens", list),
+            rejected=get("rejected_tokens", list),
+            corruptions=get("corruptions", lambda v: [Corruption.from_dict(c) for c in v]),
         )
 
 
@@ -434,13 +445,22 @@ def write_dataset_jsonl(records, path):
 
 
 def read_dataset_jsonl(path):
-    """Read records written by `write_dataset_jsonl`; ValueError on a token
-    id outside [0, VOCAB_SIZE) or a chosen caption that is not the
-    rendering of its scene."""
-    records = [PreferenceRecord.from_dict(d) for d in read_jsonl(path)]
-    for rec in records:
-        if not all(0 <= t < VOCAB_SIZE for t in rec.chosen + rec.rejected):
-            raise ValueError(f"record {rec.seed}: token id outside [0, {VOCAB_SIZE})")
-        if rec.chosen != render_caption(rec.scene):
-            raise ValueError(f"record {rec.seed}: chosen caption is not its scene's rendering")
+    """Read records written by `write_dataset_jsonl`, skipping blank lines.
+    ValueError naming the line on one that is not a JSON object, a missing
+    or malformed field (named too), a token id outside [0, VOCAB_SIZE) or a
+    chosen caption that is not the rendering of its scene."""
+    records = []
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = PreferenceRecord.from_dict(json.loads(line))
+                if not all(0 <= t < VOCAB_SIZE for t in rec.chosen + rec.rejected):
+                    raise ValueError(f"token id outside [0, {VOCAB_SIZE})")
+                if rec.chosen != render_caption(rec.scene):
+                    raise ValueError("chosen caption is not its scene's rendering")
+            except ValueError as exc:
+                raise ValueError(f"{path} line {number}: {exc}") from None
+            records.append(rec)
     return records

@@ -315,6 +315,16 @@ def test_experiment_base_checkpoint_round_trip(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_experiment_base_checkpoint_without_arrays_exits_1(tmp_path, monkeypatch):
+    base = tmp_path / "base.json"
+    base.write_text('{"version": 1}')
+    monkeypatch.setattr(training, "self_response_records", _fail("decoding"))
+    code, _, err = _run(["experiment", "--base-ckpt", str(base), "--out", str(tmp_path / "e.json")])
+    assert code == 1
+    assert json.loads(err.strip()) == {"error": "ValueError",
+                                       "message": 'checkpoint has no "arrays" object'}
+
+
 def _fail(what):
     def fail(*args, **kwargs):
         raise AssertionError(f"{what} ran on a rejected base checkpoint")

@@ -188,21 +188,22 @@ def test_greedy_decode_stops_at_eos():
     assert greedy_decode(params, x, 10) == [params.eos_id]
 
 
-def _ragged_contexts():
-    rng = np.random.default_rng(3)
-    latents = rng.normal(size=(4, K))
+def _ragged_rows():
+    """Four rows (latent, question, y, mask) of ragged lengths, every answer
+    token a position."""
+    latents = np.random.default_rng(3).normal(size=(4, K))
     questions = [[1], [2, 3], [4, 5, 6], [7]]
     ys = [[9], [3, 1, 4, 1], [5, 9], [2, 6, 5]]
-    return latents, questions, ys
+    return [(latent, q, y, [True] * len(y)) for latent, q, y in zip(latents, questions, ys)]
 
 
 def test_batch_logprob_matrix_matches_single_samples():
     params = _params(seed=5, scale=0.5)
-    latents, questions, ys = _ragged_contexts()
-    batch = pack(params, latents, questions, ys)
+    rows = _ragged_rows()
+    batch = pack(params, rows)
     got = batch_logprob_matrix(params, batch).values
-    assert list(batch.targets) == [t for y in ys for t in y]
-    for b, (latent, q, y) in enumerate(zip(latents, questions, ys)):
+    assert list(batch.targets) == [t for _, _, y, _ in rows for t in y]
+    for b, (latent, q, y, _) in enumerate(rows):
         want = token_logprob_matrix(params, encode_context(params, latent, q), y).values
         rows = got[batch.offsets[b]:batch.offsets[b + 1]]
         assert np.max(np.abs(rows - want)) <= 1e-12
@@ -216,7 +217,7 @@ def _check_prefix_means(question_lens, answer_lens, masks, seed):
     latents = rng.normal(size=(len(question_lens), K))
     questions = [[int(t) for t in rng.integers(0, V, size=n)] for n in question_lens]
     ys = [[int(t) for t in rng.integers(0, V, size=n)] for n in answer_lens]
-    batch = pack(params, latents, questions, ys, masks)
+    batch = pack(params, list(zip(latents, questions, ys, masks)))
     want = []
     for latent, q, y, mask in zip(latents, questions, ys, masks):
         rows = [latent @ params.img_proj.values] + [params.embed.values[t] for t in q + y[:-1]]
@@ -263,27 +264,24 @@ def test_prefix_means_edge_cases(question_lens, answer_lens, masks):
 
 def test_pack_rejects_inconsistent_input():
     params = _params()
-    one, two = np.zeros((1, K)), np.zeros((2, K))
-    counts = "equal latent, question, y, mask counts"
-    for args, match in (
-        ((np.zeros((0, K)), [], []), r"need >= 1 sample .*\[0, 0, 0\]"),
-        ((one, [[1], [1]], [[2]]), counts),                     # 2 questions, 1 answer
-        ((two, [[1], [1]], [[2]]), counts),                     # 2 questions, 1 answer, 2 latents
-        ((one, [[1], [1]], [[2], [2]]), counts),                # 1 latent for 2 samples
-        ((two, [[1], [1]], [[2], [2]], [[True]]), counts),      # 1 mask for 2 samples
-        ((np.zeros(K), [[1]], [[2]]), counts),                  # a bare latent, not a list of one
-        ((np.zeros((1, K + 1)), [[1]], [[2]]), "latent dim"),
-        ((one, [[]], [[2]]), "non-empty"),
-        ((one, [[1]], [[]]), "non-empty"),
-        ((one, [[1]], [[2, 3]], [[True]]), "mask length"),
-        ((one, [[1]], [[2, 3]], [[True, True, False]]), "mask length"),
-        ((two, [[1], [1]], [[2], [2, 3]], [[True], [False, False]]), "sample 1's mask selects no"),
+    z = np.zeros(K)
+    for rows, match in (
+        ([], "need >= 1 row"),
+        ([(np.zeros(K + 1), [1], [2], [True])], "latent dim"),
+        ([(np.zeros((1, K)), [1], [2], [True])], "latent dim"),  # a batch of one, not a latent
+        # ragged latents: numpy's "setting an array element with a sequence"
+        ([(z, [1], [2], [True]), (z[:-1], [1], [2], [True])], "latent dim|sequence"),
+        ([(z, [], [2], [True])], "non-empty"),
+        ([(z, [1], [], [])], "non-empty"),
+        ([(z, [1], [2, 3], [True])], "mask length"),
+        ([(z, [1], [2, 3], [True, True, False])], "mask length"),
+        ([(z, [1], [2], [True]), (z, [1], [2, 3], [False, False])], "sample 1's mask selects no"),
         # an out-of-range last answer token, masked out: never a prefix token or a target
-        ((one, [[1]], [[2, V]], [[True, False]]), "token id out of range"),
-        ((one, [[1]], [[2, -1]], [[True, False]]), "token id out of range"),
+        ([(z, [1], [2, V], [True, False])], "token id out of range"),
+        ([(z, [1], [2, -1], [True, False])], "token id out of range"),
     ):
         with pytest.raises(ValueError, match=match):
-            pack(params, *args)
+            pack(params, rows)
 
 
 def test_packed_paths_reject_token_ids_outside_vocab():
@@ -294,31 +292,31 @@ def test_packed_paths_reject_token_ids_outside_vocab():
         with pytest.raises(ValueError, match="token id out of range"):
             token_logprob_matrix(params, x, [1, bad])
         with pytest.raises(ValueError, match="token id out of range"):
-            pack(params, np.zeros((2, K)), [[1], [1]], [[2], [2, bad]])
+            pack(params, [(np.zeros(K), [1], [2], [True]), (np.zeros(K), [1], [2, bad], [True] * 2)])
         with pytest.raises(ValueError, match="token id out of range"):
-            pack(params, np.zeros((1, K)), [[bad]], [[2]])
+            pack(params, [(np.zeros(K), [bad], [2], [True])])
         with pytest.raises(ValueError):
-            greedy_decode_batch(params, np.zeros((1, K)), [[bad]], 3)
+            greedy_decode_batch(params, [(np.zeros(K), [bad], [2], [True])], 3)
 
 
 def test_greedy_decode_batch_validates_contexts_and_decodes_none_to_empty():
     params = _params()
-    assert greedy_decode_batch(params, np.zeros((0, K)), [], 3) == []
-    assert greedy_decode_batch(params, [], [], 3) == []
-    for latents, questions in ((np.zeros((2, K)), [[1]]),      # one latent too many
-                               (np.zeros((1, K + 1)), [[1]]),  # latent of the wrong size
-                               (np.zeros(K), [[1]]),           # a latent, not a batch of them
-                               (np.zeros((2, K)), [[1], []])):  # an empty question
+    assert greedy_decode_batch(params, [], 3) == []
+    z = np.zeros(K)
+    for rows in ([(np.zeros(K + 1), [1])],              # latent of the wrong size
+                 [(np.zeros((1, K)), [1])],             # a batch of one, not a latent
+                 [(z, [1]), (z[:-1], [1])],             # one latent of the wrong size
+                 [(z, [1]), (z, [])]):                  # an empty question
         with pytest.raises(ValueError):
-            greedy_decode_batch(params, latents, questions, 3)
+            greedy_decode_batch(params, rows, 3)
 
 
 def test_greedy_decode_batch_matches_single_decodes():
     params = _params(seed=17, scale=0.5)
     params.out.values[:, params.eos_id] += 1.0  # some captions stop early, one runs to max_len
-    latents, questions, _ = _ragged_contexts()
-    decoded = greedy_decode_batch(params, latents, questions, 6)
-    contexts = [encode_context(params, latent, q) for latent, q in zip(latents, questions)]
+    rows = _ragged_rows()
+    decoded = greedy_decode_batch(params, rows, 6)
+    contexts = [encode_context(params, latent, q) for latent, q, _, _ in rows]
     assert decoded == [greedy_decode(params, x, 6) for x in contexts]
     assert len({len(d) for d in decoded}) > 1
     for x, out in zip(contexts, decoded):  # each token is the full forward's argmax
@@ -343,12 +341,18 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
 
 
 def _corrupted_checkpoint(tmp_path, corrupt):
+    """A checkpoint file holding `corrupt`'s return value for a saved model's document."""
     path = tmp_path / "model.json"
     save_checkpoint(_params(seed=22), path)
-    doc = json.loads(path.read_text())
-    corrupt(doc["arrays"])
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
     return path
+
+
+def _edit_arrays(edit):
+    def corrupt(doc):
+        edit(doc["arrays"])
+        return doc
+    return corrupt
 
 
 def _drop_block_0(arrays):
@@ -372,10 +376,18 @@ def _drop_block_0_w2(arrays):
 
 
 @pytest.mark.parametrize("corrupt, match", [
-    (_drop_block_0, "block indices"), (_shrink_out, "shape"), (_nan_in_embed, "non-finite"),
-    (_extra_array, r"unexpected \['extra'\], missing \[\]"),
-    (_drop_block_0_w2, r"unexpected \[\], missing \['blocks.0.w2'\]"),
-], ids=["block_index_gap", "shape_mismatch", "non_finite", "extra_array", "missing_array"])
+    (_edit_arrays(_drop_block_0), "block indices"), (_edit_arrays(_shrink_out), "shape"),
+    (_edit_arrays(_nan_in_embed), "non-finite"),
+    (_edit_arrays(_extra_array), r"unexpected \['extra'\], missing \[\]"),
+    (_edit_arrays(_drop_block_0_w2), r"unexpected \[\], missing \['blocks.0.w2'\]"),
+    (lambda doc: [doc], "must be a JSON object, got list"),
+    (lambda doc: {"version": doc["version"]}, 'no "arrays" object'),
+    (lambda doc: {**doc, "arrays": list(doc["arrays"])}, 'no "arrays" object'),
+    (_edit_arrays(lambda arrays: arrays["embed"].pop("shape")), 'embed needs "shape" and "values"'),
+    (_edit_arrays(lambda arrays: arrays["out"].pop("values")), 'out needs "shape" and "values"'),
+], ids=["block_index_gap", "shape_mismatch", "non_finite", "extra_array", "missing_array",
+        "not_an_object", "no_arrays", "arrays_not_an_object", "entry_without_shape",
+        "entry_without_values"])
 def test_checkpoint_rejects_inconsistent_contents(tmp_path, corrupt, match):
     with pytest.raises(ValueError, match=match):
         load_checkpoint(_corrupted_checkpoint(tmp_path, corrupt))

@@ -1,8 +1,8 @@
 """Packaging: every third-party module the code imports is declared, the
 record-to-model-input decision and the scorer each stay in one module,
-the names the benchmark pins exist, every import is read, every loss takes its
-reference model last, README's examples match the code, and the pytest settings
-report failures normally."""
+the names the benchmark pins exist and its calls of them bind, every import
+is read, every loss takes its reference model last, README's examples match
+the code, and the pytest settings report failures normally."""
 
 import ast
 import importlib.util
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from prefalign import losses
+from prefalign import losses, world
 from prefalign.cli import dispatch
 from prefalign.training import METHODS
 
@@ -51,8 +51,9 @@ def test_every_third_party_import_is_declared():
 
 
 # A record's model input is `PreferenceRecord.to_sample()`, its caption
-# conversation `PreferenceSample.caption_conversation` and its nSFT
-# conversation `constructor.nsft_conversation`; these modules use them.
+# conversation `InputContext.caption_conversation` (flattened, a caption row)
+# and its nSFT conversation `constructor.nsft_conversation`; these modules
+# use them.
 _INPUT_BUILDING_NAMES = {"featurize", "CAPTION_QUESTION", "Turn", "RuleBasedOracle",
                          "construct_conversation", "balance_yes_no"}
 # Every sequence log-prob and KL of a packed forward is `losses.packed_logprobs`.
@@ -92,26 +93,55 @@ def _load_by_path(path):
     return module
 
 
-def _names_imported_from(path, module):
+def _prefalign_reads(path):
+    """(module, attribute, call) for every attribute that `path` reads off a
+    `prefalign` module it imports and every name it imports from one; call is
+    the `ast.Call` that calls it there, or None for a plain read."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    return [alias.name for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.module == module for alias in node.names]
+    modules, names = {}, {}  # local name -> module; local name -> (module, attribute)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "prefalign":
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("prefalign."):
+            names.update((a.asname or a.name, (node.module[10:], a.name)) for a in node.names)
+
+    def target(node):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            return modules[node.value.id], node.attr
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            return names.get(node.id)
+        return None
+
+    calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    return [(*t, calls.get(id(n))) for n in ast.walk(tree) if (t := target(n))]
 
 
 def test_benchmark_pinned_names_resolve():
-    """perfbench traces and imports these by name; a rename or deletion
-    in the package must fail here, not only in a traced benchmark run."""
+    """perfbench traces and imports these by name and calls some with
+    keywords; a rename, deletion or signature change in the package must
+    fail here, not only in a benchmark run."""
     tracing = _load_by_path(ROOT / "perfbench" / "tracing.py")
-    pinned = [(mod, attr) for _, mod, attr in tracing.SELF_TIMED + tracing.PHASES]
-    pinned += [("model", name) for name in
-               _names_imported_from(ROOT / "perfbench" / "workloads.py", "prefalign.model")]
-    assert len(pinned) > len(tracing.SELF_TIMED)
-    for mod, attr in pinned:
+    pinned = [(mod, attr, None) for _, mod, attr in tracing.SELF_TIMED + tracing.PHASES]
+    reads = [r for name in ("workloads.py", "tracing.py")
+             for r in _prefalign_reads(ROOT / "perfbench" / name)]
+    assert {("cli", "dispatch"), ("checks", "CHECKS"), ("world", "VOCAB_SIZE"),
+            ("training", "evaluate_model"), ("model", "init_params")} <= {r[:2] for r in reads}
+    for mod, attr, call in pinned + reads:
         owner = importlib.import_module(f"prefalign.{mod}")
         for part in attr.split("."):
-            owner = getattr(owner, part, None)
-            assert owner is not None, f"perfbench names prefalign.{mod}.{attr}, which is gone"
-        assert callable(owner), f"prefalign.{mod}.{attr} is not callable"
+            assert hasattr(owner, part), f"perfbench names prefalign.{mod}.{attr}, which is gone"
+            owner = getattr(owner, part)
+        assert (mod, attr, None) not in pinned or callable(owner), f"{mod}.{attr} is not callable"
+        if call is not None:  # perfbench's positional count and keywords still bind
+            try:
+                inspect.signature(owner).bind_partial(*call.args,
+                                                      **{k.arg: None for k in call.keywords})
+            except TypeError as exc:
+                raise AssertionError(f"perfbench's call of prefalign.{mod}.{attr} "
+                                     f"(line {call.lineno}) no longer binds: {exc}") from None
+    # EvalDecode's decode check reads a record's context fields
+    context = world.make_preference_dataset(1, 0)[0].to_sample().context
+    assert context.image_latent.ndim == 1 and context.question
 
 
 def _method_names_outside_the_table(path, names):

@@ -36,6 +36,7 @@ from prefalign.training import (
     ExperimentSpec,
     TrainConfig,
     TrainingDivergedError,
+    _caption_rows,
     _decode_records,
     batch_loss,
     build_training_views,
@@ -270,10 +271,10 @@ def test_pruned_positions_match_masked_full_batch():
     # nSFT conversations: follow-up questions are prefix only, no position
     params = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=0)
     views, _ = build_training_views(RECORDS[:4], _config(method="nsft"))
-    latents, questions, ys, masks = zip(*[v[0] for v in views], *[v[2] for v in views])
-    pruned = batch_sft_loss(params, pack(params, latents, questions, ys, masks))
-    full = pack(params, latents, questions, ys)
-    mask = np.concatenate(masks).astype(np.float64)
+    rows = [v[0] for v in views] + [v[2] for v in views]
+    pruned = batch_sft_loss(params, pack(params, rows))
+    full = pack(params, [(*row[:3], [True] * len(row[2])) for row in rows])
+    mask = np.concatenate([row[3] for row in rows]).astype(np.float64)
     assert 0 < mask.sum() < mask.size
     lp = ad.take_along_rows(batch_logprob_matrix(params, full), full.targets)
     masked = -ad.tsum(ad.mul(lp, Tensor(mask)))
@@ -340,6 +341,16 @@ def test_training_views_constructed_only_for_nsft_methods():
 def test_gt_dpo_views_without_reference_fail_early():
     with pytest.raises(ValueError, match="reference"):
         build_training_views(RECORDS, _config(method="gt_dpo"))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_no_records_fail_before_any_work(method):
+    # one message for every method, before a reference is asked for; train's
+    # batch draw would otherwise fail with numpy's "high <= 0"
+    for run in (lambda: build_training_views([], _config(method=method)),
+                lambda: train(_config(method=method), [])):
+        with pytest.raises(ValueError, match="^need at least one record$"):
+            run()
 
 
 def test_nsft_at_one_constructed_turn_keeps_every_conversation():
@@ -454,7 +465,7 @@ GOLDEN_EVALUATE = {
 def test_evaluate_model_matches_golden_bit_for_bit():
     params, initial = _eval_models()
     assert evaluate_model(params, EVAL_RECORDS, initial_model=initial) == GOLDEN_EVALUATE
-    captions = _decode_records(params, [rec.to_sample() for rec in EVAL_RECORDS], 16)
+    captions = _decode_records(params, _caption_rows(EVAL_RECORDS), 16)
     contexts = [rec.to_sample().context for rec in EVAL_RECORDS]
     x = [encode_context(params, c.image_latent, c.question) for c in contexts]
     assert captions == [greedy_decode(params, xi, 16) for xi in x]
@@ -480,9 +491,8 @@ def test_silent_model_reports_no_chair_i():
     # a model that names no object must not score a perfect chair_i of 0.0
     params = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=2)
     params.out.values[:, world.EOS_ID] += 50.0
-    contexts = [r.to_sample().context for r in RECORDS[:4]]
-    assert greedy_decode_batch(params, [c.image_latent for c in contexts],
-                               [c.question for c in contexts], 16) == [[world.EOS_ID]] * 4
+    chosen_rows = [chosen for chosen, _ in _caption_rows(RECORDS[:4])]
+    assert greedy_decode_batch(params, chosen_rows, 16) == [[world.EOS_ID]] * 4
     ev = evaluate_model(params, RECORDS[:4], initial_model=params)
     assert ev["chair_i"] is None and ev["chair_s"] == 0.0
     assert ev["object_recall"] == 0.0 and ev["mean_caption_len"] == 0.0

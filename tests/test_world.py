@@ -163,6 +163,19 @@ def _write_edited(tmp_path, edit):
     return path
 
 
+@pytest.mark.parametrize("line, match", [
+    ("{}", r"line 4: field 'seed' is missing or malformed"),
+    ('{"seed": 1, "scene": [[1, 2]]}', r"line 4: field 'scene' is missing or malformed"),
+    ("[1, 2]", r"line 4: a record must be a JSON object, got list"),
+], ids=["empty_object", "scene_entry_of_two", "not_an_object"])
+def test_read_dataset_names_the_line_and_field(tmp_path, line, match):
+    path = tmp_path / "bad.jsonl"
+    write_dataset_jsonl(make_preference_dataset(2, 4), path)
+    path.write_text(path.read_text().replace("\n", "\n\n", 1) + line + "\n")  # a blank line 2
+    with pytest.raises(ValueError, match=match):
+        read_dataset_jsonl(path)
+
+
 @pytest.mark.parametrize("bad_id", [world.VOCAB_SIZE, -1])
 def test_read_dataset_rejects_token_ids_out_of_range(tmp_path, bad_id):
     def edit(doc):
