@@ -113,7 +113,7 @@ def _load_train_config(args):
 def _cmd_train(args):
     config = _load_train_config(args)
     records = world.read_dataset_jsonl(args.data)
-    params, log = training.train(config, records)
+    params, log = training.train(config, records, trajectory=bool(args.log_csv))
     save_checkpoint(params, args.out)
     if args.log_csv:
         training.write_trajectory_log_csv(log, args.log_csv)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import world
-from .data import Conversation, Turn
+from .data import Conversation, Turn, flatten_pairs
 from .world import (
     CAT_COLOR,
     CAT_COUNT,
@@ -29,6 +29,7 @@ from .world import (
 __all__ = [
     "RuleBasedOracle",
     "qa_turns_from_clauses",
+    "qa_row",
     "construct_conversation",
     "balance_yes_no",
     "nsft_conversation",
@@ -99,30 +100,46 @@ def _gt_turns(scene):
             yield _table_turn(_Q_COUNT[o.obj], _A_COUNT[o.count - 1])
 
 
-def qa_turns_from_clauses(clauses, rng, n):
-    """n random QA turns consistent with a clause list (a believed scene).
+def _qa_pairs(clauses, rng, n):
+    """The (question, answer) token tables of n random QA turns consistent
+    with a clause list (a believed scene), drawn lazily in a fixed order.
 
     Existence questions split between present objects ('yes') and absent
-    ones ('no'); color/count questions quote the clause attributes.
+    ones ('no'); color/count questions quote the clause attributes. The
+    tables are shared, so a consumer copies what it keeps.
     """
-    turns = []
     present = sorted({cl.obj for cl in clauses})
     for _ in range(n):
         kind = rng.integers(0, 3)
         if kind == 0:
             if rng.random() < 0.5:
-                turns.append(_table_turn(_Q_EXISTS[present[int(rng.integers(len(present)))]],
-                                         _A_YES))
-            else:
-                absent = [o for o in range(len(OBJECTS)) if o not in present]
-                turns.append(_table_turn(_Q_EXISTS[absent[int(rng.integers(len(absent)))]], _A_NO))
+                yield _Q_EXISTS[present[int(rng.integers(len(present)))]], _A_YES
+            else:  # the obj-th absent object: step past each present one at or below it
+                obj = int(rng.integers(len(OBJECTS) - len(present)))
+                for o in present:
+                    if o > obj:
+                        break
+                    obj += 1
+                yield _Q_EXISTS[obj], _A_NO
         elif kind == 1:
             cl = clauses[int(rng.integers(0, len(clauses)))]
-            turns.append(_table_turn(_Q_COLOR[cl.obj], _A_COLOR[cl.color]))
+            yield _Q_COLOR[cl.obj], _A_COLOR[cl.color]
         else:
             cl = clauses[int(rng.integers(0, len(clauses)))]
-            turns.append(_table_turn(_Q_COUNT[cl.obj], _A_COUNT[cl.count - 1]))
-    return turns
+            yield _Q_COUNT[cl.obj], _A_COUNT[cl.count - 1]
+
+
+def qa_turns_from_clauses(clauses, rng, n):
+    """n random QA turns consistent with a clause list (a believed scene);
+    see `_qa_pairs` for the draws."""
+    return [_table_turn(q, a) for q, a in _qa_pairs(clauses, rng, n)]
+
+
+def qa_row(image_latent, clauses, rng, n):
+    """The model-input row of `Conversation(image_latent,
+    qa_turns_from_clauses(clauses, rng, n)).flatten()`, from the same draws
+    and with no `Turn` built; `image_latent` is passed through as given."""
+    return flatten_pairs(image_latent, _qa_pairs(clauses, rng, n))
 
 
 def construct_conversation(errors, scene, image_latent, k=5):

@@ -15,6 +15,7 @@ __all__ = [
     "PreferenceSample",
     "Turn",
     "Conversation",
+    "flatten_pairs",
     "StepRecord",
     "write_json",
     "write_jsonl",
@@ -94,20 +95,28 @@ class Conversation:
         self.image_latent = np.asarray(self.image_latent, dtype=np.float64)
 
     def flatten(self):
-        """Collapse turns into one row, (image_latent, question0, y, mask),
-        the model's one input: `model.pack` takes a list of them.
+        """This conversation's model-input row; see `flatten_pairs`."""
+        return flatten_pairs(self.image_latent, ((t.question, t.answer) for t in self.turns))
 
-        y concatenates answer/question/answer/... after the first
-        question; only answer tokens are loss-masked.
-        """
-        if not self.turns:
-            raise ValueError("conversation has no turns")
-        first, *rest = self.turns
-        y, mask = list(first.answer), [True] * len(first.answer)
-        for turn in rest:
-            y += [*turn.question, *turn.answer]
-            mask += [False] * len(turn.question) + [True] * len(turn.answer)
-        return self.image_latent, list(first.question), y, mask
+
+def flatten_pairs(image_latent, pairs):
+    """Collapse (question, answer) token pairs over one image into one row,
+    (image_latent, question0, y, mask), the model's one input: `model.pack`
+    takes a list of them. The token lists are copied, never aliased.
+
+    y concatenates answer/question/answer/... after the first
+    question; only answer tokens are loss-masked.
+    """
+    pairs = iter(pairs)
+    first = next(pairs, None)
+    if first is None:
+        raise ValueError("conversation has no turns")
+    question, answer = first
+    y, mask = list(answer), [True] * len(answer)
+    for q, a in pairs:
+        y += [*q, *a]
+        mask += [False] * len(q) + [True] * len(a)
+    return image_latent, list(question), y, mask
 
 
 @dataclass
@@ -116,7 +125,7 @@ class StepRecord:
     loss: float
     lr: float
     mean_chosen_logprob: float
-    mean_rejected_logprob: float
+    mean_rejected_logprob: float | None = None
     t1: float | None = None
     t2: float | None = None
     p_dpo: float | None = None

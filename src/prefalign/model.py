@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from itertools import compress
 
@@ -320,8 +321,9 @@ def save_checkpoint(params, path):
 
 def load_checkpoint(path):
     """Read a checkpoint; ValueError on a file that is not a JSON object with
-    an "arrays" object, an array entry without "shape" and "values", a gap
-    in the block indices, a missing or unexpected array, shapes that
+    an "arrays" object, an array entry without "shape" and "values", a shape
+    that is not a list of non-negative integers or does not hold its values,
+    a gap in the block indices, a missing or unexpected array, shapes that
     disagree with each other, or a non-finite value."""
     with open(path) as fh:
         doc = json.load(fh)
@@ -336,7 +338,14 @@ def load_checkpoint(path):
         a = arrays[name]
         if not isinstance(a, dict) or not {"shape", "values"} <= a.keys():
             raise ValueError(f'checkpoint array {name} needs "shape" and "values"')
-        values = np.array(a["values"], dtype=np.float64).reshape(a["shape"])
+        shape, values = a["shape"], np.array(a["values"], dtype=np.float64)
+        if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
+            raise ValueError(f"checkpoint array {name} has shape {shape!r}, "
+                             "not a list of non-negative integers")
+        if values.size != math.prod(shape):
+            raise ValueError(f"checkpoint array {name} has {values.size} values, "
+                             f"but shape {shape} holds {math.prod(shape)}")
+        values = values.reshape(shape)
         if not np.all(np.isfinite(values)):
             raise ValueError(f"checkpoint tensor {name} has non-finite values")
         return Tensor(values, requires_grad=True)

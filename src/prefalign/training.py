@@ -16,8 +16,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import backward
-from .constructor import nsft_conversation, qa_turns_from_clauses
-from .data import Conversation, StepRecord, write_csv
+from .constructor import nsft_conversation, qa_row
+from .data import StepRecord, write_csv
 from .losses import batch_sft_loss, dpo_margin, dpo_margin_loss, packed_logprobs
 from .metrics import CaptionEval, chair, object_recall
 from .theory import bias_trajectory_report
@@ -166,9 +166,9 @@ def build_training_views(records, config: TrainConfig, reference=None):
 
 
 def batch_loss(params, reference, views, config: TrainConfig, ref_scores=None):
-    """One step's batch-mean loss as one packed graph, plus per-sample
-    logging arrays: chosen and rejected sequence log-probs for every
-    method, and t1, t2 and the margin where the rejected row selects it.
+    """One step's batch-mean loss as one packed graph, plus what that forward
+    yields per sample: the chosen sequence log-probs for every method, and
+    the rejected ones, t1, t2 and the margin where the rejected row selects it.
 
     Every method packs the n chosen captions first. With the rejected row
     the rejected captions follow them, and the loss is the margin between
@@ -177,7 +177,7 @@ def batch_loss(params, reference, views, config: TrainConfig, ref_scores=None):
     entry's KL to the reference on the chosen ones."""
     method = METHODS[config.method]
     n = len(views)
-    # the SFT family trains every row but the rejected caption, which it only logs
+    # the SFT family trains every row but the rejected caption
     rest = 1 if method.row == "rejected" else 2
     rows = [v[0] for v in views] + [r for v in views for r in v[rest:]]
     position_lp, lp_c, lp_rest, kl = packed_logprobs(params, pack(params, rows), n,
@@ -193,9 +193,7 @@ def batch_loss(params, reference, views, config: TrainConfig, ref_scores=None):
     loss = -ad.tsum(position_lp)
     if kl is not None:
         loss = ad.add(loss, config.kl_weight * ad.tsum(kl))
-    frozen = params.frozen()
-    lp_r = packed_logprobs(frozen, pack(frozen, [v[1] for v in views]), n)[1].values
-    return loss / n, {"lp_c": lp_c.values, "lp_r": lp_r}
+    return loss / n, {"lp_c": lp_c.values}
 
 
 def _sgd_step(tensors, loss, lr, step):
@@ -214,12 +212,16 @@ def _mean(values):
     return sum(float(v) for v in values) / len(values)
 
 
-def train(config: TrainConfig, records, init_model=None):
+def train(config: TrainConfig, records, init_model=None, trajectory=True):
     """Train one method; deterministic in (config, records, init_model).
 
     Returns (final ModelParams, list of StepRecord). The reference model is a
-    frozen copy of the initial parameters and is never mutated. Raises
-    ValueError when `init_model`'s dim or block count is not the config's.
+    frozen copy of the initial parameters and is never mutated. With
+    `trajectory`, each step also runs the forwards that only its record
+    reads: the SFT family's rejected captions before the update, and the KL
+    of 4 chosen captions to the reference after it. Without, those fields are
+    None; the parameters are the same either way. Raises ValueError when
+    `init_model`'s dim or block count is not the config's.
     """
     if init_model is None:
         init_model = init_params(VOCAB_SIZE, config.dim, latent_dim(),
@@ -232,6 +234,7 @@ def train(config: TrainConfig, records, init_model=None):
     ref_hash = params_hash(reference)
 
     views, ref_scores = build_training_views(records, config, reference=reference)
+    method = METHODS[config.method]
     tensors = params.tensors()
     rng = np.random.default_rng(config.seed)
     log = []
@@ -242,17 +245,25 @@ def train(config: TrainConfig, records, init_model=None):
         batch = [views[i] for i in idx.tolist()]
         loss, stats = batch_loss(params, reference, batch, config,
                                  None if ref_scores is None else ref_scores[idx])
+        lp_r = stats.get("lp_r")  # the rejected row's, from the loss forward
+        if trajectory and method.row != "rejected":  # the SFT family's, frozen
+            frozen = params.frozen()
+            lp_r = packed_logprobs(frozen, pack(frozen, [v[1] for v in batch]),
+                                   len(batch))[1].values
         loss_value = _sgd_step(tensors, loss, lr, step)
         del loss  # free this step's graph before the next is built
-        probe = [v[0] for v in batch[:4]]  # KL to the reference, after the update
-        kl = packed_logprobs(params.frozen(), pack(params, probe), len(probe), reference)[3]
+        kl = None
+        if trajectory:  # KL to the reference, after the update
+            probe = [v[0] for v in batch[:4]]
+            kl = _mean(packed_logprobs(params.frozen(), pack(params, probe), len(probe),
+                                       reference)[3].values)
         log.append(StepRecord(
             step=step,
             loss=loss_value,
             lr=lr,
             mean_chosen_logprob=_mean(stats["lp_c"]),
-            mean_rejected_logprob=_mean(stats["lp_r"]),
-            kl_to_reference=_mean(kl.values),
+            mean_rejected_logprob=None if lp_r is None else _mean(lp_r),
+            kl_to_reference=kl,
             **{name: _mean(stats[name]) for name in ("t1", "t2", "p_dpo") if name in stats},
         ))
 
@@ -294,8 +305,8 @@ def make_base_model(records, dim=64, n_blocks=2, steps=8000, batch_size=16):
         for i in idx.tolist():
             noisy = int(rng.random() < _NOISY_FRAC)
             if rng.random() < _QA_FRAC:
-                turns = qa_turns_from_clauses(clauses[i][noisy], rng, int(rng.integers(2, 5)))
-                items.append(Conversation(captions[i][0][0], turns).flatten())  # the image latent
+                items.append(qa_row(captions[i][0][0], clauses[i][noisy],  # the image latent
+                                    rng, int(rng.integers(2, 5))))
             else:
                 items.append(captions[i][noisy])
         batch = pack(params, items)
@@ -467,7 +478,7 @@ def run_experiment(spec: ExperimentSpec, base_model=None):
         if method.recipe is None:
             continue
         config = TrainConfig(method=name, **method.recipe, **common)
-        params, log = train(config, records, init_model=base_model)
+        params, log = train(config, records, init_model=base_model, trajectory=False)
         ev = evaluate_model(params, eval_records, initial_model=base_model,
                             max_decode_len=spec.max_decode_len)
         train_c, train_r = mean_sequence_logprobs(params, records)

@@ -174,6 +174,12 @@ def test_train_output_matches_recorded_bytes(tmp_path, method):
         rows = list(csv.DictReader(fh))
     # only gt_dpo logs t1; None is written as an empty cell
     assert len(rows) == 3 and all((r["t1"] == "") == (method != "gt_dpo") for r in rows)
+    # without --log-csv no trajectory is computed, and the checkpoint is the same
+    bare = tmp_path / "bare.json"
+    code, _, err = _run(["train", "--config", str(cfg), "--data", str(data), "--method", method,
+                         "--steps", "3", "--seed", "0", "--out", str(bare)])
+    assert code == 0, err
+    assert hashlib.sha256(bare.read_bytes()).hexdigest() == TRAIN_SHA256[method][0]
 
 
 def test_train_smoke_and_reproducible(tmp_path):

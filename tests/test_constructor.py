@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefalign import world
 from prefalign.cli import dispatch
@@ -14,6 +16,7 @@ from prefalign.constructor import (
     balance_yes_no,
     construct_conversation,
     conversation_to_llava_record,
+    qa_row,
     qa_turns_from_clauses,
 )
 from prefalign.data import Conversation, Turn, write_jsonl
@@ -275,3 +278,35 @@ def test_qa_turns_from_clauses_match_golden():
                                   for t in turns))
     assert got == GOLDEN_QA_TURNS
     assert rng.integers(0, 2**31) == 1244563294
+
+
+def test_qa_row_matches_golden_turns_flattened():
+    rng_turns, rng_row = np.random.default_rng(5), np.random.default_rng(5)
+    for rec in world.make_preference_dataset(4, 11):
+        latent = world.featurize(rec.scene)
+        for clauses in (list(rec.scene.objects), world.parse_caption(rec.rejected)):
+            want = Conversation(latent, qa_turns_from_clauses(clauses, rng_turns, 4)).flatten()
+            got = qa_row(latent, clauses, rng_row, 4)
+            assert got[0] is latent and got[1:] == want[1:]
+    assert rng_row.integers(0, 2**31) == rng_turns.integers(0, 2**31) == 1244563294
+    with pytest.raises(ValueError, match="no turns"):
+        qa_row(latent, clauses, rng_row, 0)
+
+
+_CLAUSE = st.builds(SceneObject, obj=st.integers(0, len(OBJECTS) - 1),
+                    color=st.integers(0, len(COLORS) - 1), count=st.integers(1, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(clauses=st.lists(_CLAUSE, min_size=1, max_size=len(OBJECTS) - 1, unique_by=lambda c: c.obj),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+def test_qa_row_is_flattened_qa_turns(clauses, seed, n):
+    latent = np.arange(world.latent_dim(), dtype=np.float64)
+    rng_turns, rng_row = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = Conversation(latent, qa_turns_from_clauses(clauses, rng_turns, n)).flatten()
+    got = qa_row(latent, clauses, rng_row, n)
+    assert got[0] is latent and got[1:] == want[1:]
+    assert rng_row.bit_generator.state == rng_turns.bit_generator.state
+    for tokens in got[1:3]:  # copies: no token table is aliased
+        tokens.append(-1)
+    assert qa_row(latent, clauses, np.random.default_rng(seed), n)[1:] == want[1:]

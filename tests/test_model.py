@@ -385,9 +385,18 @@ def _drop_block_0_w2(arrays):
     (lambda doc: {**doc, "arrays": list(doc["arrays"])}, 'no "arrays" object'),
     (_edit_arrays(lambda arrays: arrays["embed"].pop("shape")), 'embed needs "shape" and "values"'),
     (_edit_arrays(lambda arrays: arrays["out"].pop("values")), 'out needs "shape" and "values"'),
+    (_edit_arrays(lambda arrays: arrays["embed"].update(shape="ab")),
+     "embed has shape 'ab', not a list of non-negative integers"),
+    (_edit_arrays(lambda arrays: arrays["out"].update(shape=[D, -V])),
+     "out has shape .*, not a list of non-negative integers"),
+    (_edit_arrays(lambda arrays: arrays["img_proj"].update(shape=[K, 1.5])),
+     "img_proj has shape .*, not a list of non-negative integers"),
+    (_edit_arrays(lambda arrays: arrays["blocks.1.w1"].update(shape=[3, 3])),
+     rf"blocks.1.w1 has {D * D} values, but shape \[3, 3\] holds 9"),
 ], ids=["block_index_gap", "shape_mismatch", "non_finite", "extra_array", "missing_array",
         "not_an_object", "no_arrays", "arrays_not_an_object", "entry_without_shape",
-        "entry_without_values"])
+        "entry_without_values", "shape_not_a_list", "shape_negative", "shape_not_integers",
+        "shape_disagrees_with_values"])
 def test_checkpoint_rejects_inconsistent_contents(tmp_path, corrupt, match):
     with pytest.raises(ValueError, match=match):
         load_checkpoint(_corrupted_checkpoint(tmp_path, corrupt))

@@ -116,6 +116,13 @@ def _prefalign_reads(path):
     return [(*t, calls.get(id(n))) for n in ast.walk(tree) if (t := target(n))]
 
 
+def _bound_reads(path):
+    """The parameter names `path` reads by subscript off a `self._bound(...)` call."""
+    return {node.slice.value for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "attr", None) == "_bound"}
+
+
 def test_benchmark_pinned_names_resolve():
     """perfbench traces and imports these by name and calls some with
     keywords; a rename, deletion or signature change in the package must
@@ -139,6 +146,13 @@ def test_benchmark_pinned_names_resolve():
             except TypeError as exc:
                 raise AssertionError(f"perfbench's call of prefalign.{mod}.{attr} "
                                      f"(line {call.lineno}) no longer binds: {exc}") from None
+    # the tracer's observers read these parameters by name off each traced call
+    bound = {("training", "train"): "config", ("training", "make_base_model"): "steps",
+             ("training", "self_response_records"): "records"}
+    assert set(bound.values()) == _bound_reads(ROOT / "perfbench" / "tracing.py")
+    for (mod, attr), name in bound.items():
+        params = inspect.signature(getattr(importlib.import_module(f"prefalign.{mod}"), attr))
+        assert name in params.parameters, f"perfbench reads prefalign.{mod}.{attr}'s {name!r}"
     # EvalDecode's decode check reads a record's context fields
     context = world.make_preference_dataset(1, 0)[0].to_sample().context
     assert context.image_latent.ndim == 1 and context.question

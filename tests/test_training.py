@@ -1,6 +1,7 @@
 """Continual-alignment training loop: determinism, logging, method
 comparison scaffolding, and the experiment pipeline at toy sizes."""
 
+import dataclasses
 import io
 import math
 import re
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import prefalign.autodiff as ad
-from prefalign import training, world
+from prefalign import constructor, data, training, world
 from prefalign.autodiff import Tensor, backward, relative_error
 from prefalign.cli import dispatch
 from prefalign.data import InputContext
@@ -219,6 +220,48 @@ def test_step_records_match_per_sample_golden(method):
                 assert relative_error(got, w, floor=1e-6) <= 1e-10, (field, got, w)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_training_without_trajectory_is_the_same_training(method):
+    # the log-only forwards read the parameters and write nothing
+    full_params, full = train(_config(method=method), RECORDS)
+    params, log = train(_config(method=method), RECORDS, trajectory=False)
+    assert params_hash(params) == params_hash(full_params) == GOLDEN_TRAIN_HASHES[method]
+    kept = ("loss", "lr", "mean_chosen_logprob", "t1", "t2", "p_dpo")
+    assert [[getattr(r, f) for f in kept] for r in log] == \
+        [[getattr(r, f) for f in kept] for r in full]
+    assert all(r.kl_to_reference is None for r in log)
+    rejected_in_loss = METHODS[method].row == "rejected"
+    assert [r.mean_rejected_logprob for r in log] == \
+        [r.mean_rejected_logprob if rejected_in_loss else None for r in full]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_training_without_trajectory_packs_once_per_step(monkeypatch, method):
+    # a cost guard: a log-only forward that creeps back into the loop fails here
+    packs, real = [], training.pack
+    monkeypatch.setattr(training, "pack", lambda *a: packs.append(1) or real(*a))
+
+    def count(steps, trajectory):
+        del packs[:]
+        train(_config(method=method, steps=steps), RECORDS, trajectory=trajectory)
+        return len(packs)
+
+    views = count(0, False)  # gt_dpo's views pack the reference's scoring forwards
+    assert count(5, False) == views + 5
+    assert count(5, True) == views + 5 * (2 if METHODS[method].row == "rejected" else 3)
+
+
+def test_make_base_model_builds_no_turn_per_step(monkeypatch):
+    # a cost guard: QA items are rows drawn straight from the token tables,
+    # so the only turns are the records' caption rows, built once per call
+    turns = []
+    for module in (data, constructor):
+        real = module.Turn
+        monkeypatch.setattr(module, "Turn", lambda *a, real=real: turns.append(1) or real(*a))
+    make_base_model(RECORDS, dim=16, steps=20)
+    assert len(turns) == 2 * len(RECORDS)
+
+
 def _per_sample_loss(params, reference, i, views, ref_scores, config):
     """Sample i's loss from the single-sample functions, as the training
     loop built it before batches were packed."""
@@ -264,7 +307,18 @@ def test_packed_batch_loss_matches_per_sample_graphs(method):
     lp_c = [sequence_logprob(params, s.context, s.chosen).item() for s in samples]
     lp_r = [sequence_logprob(params, s.context, s.rejected).item() for s in samples]
     assert relative_error(stats["lp_c"], lp_c) <= 1e-10
-    assert relative_error(stats["lp_r"], lp_r) <= 1e-10
+    if METHODS[method].row == "rejected":  # the loss forward scores the rejected captions
+        assert set(stats) == {"lp_c", "lp_r", "p_dpo", "t1", "t2"}
+        assert relative_error(stats["lp_r"], lp_r) <= 1e-10
+        return
+    # the SFT family's loss forward never sees them: `train` logs a frozen
+    # forward of them before its first update, over the batch it draws
+    assert set(stats) == {"lp_c"}
+    _, log = train(dataclasses.replace(config, steps=1), RECORDS, init_model=params)
+    drawn = np.random.default_rng(config.seed).integers(0, len(RECORDS), size=config.batch_size)
+    want = np.mean([sequence_logprob(params, RECORDS[i].to_sample().context,
+                                     RECORDS[i].rejected).item() for i in drawn])
+    assert relative_error(log[0].mean_rejected_logprob, want) <= 1e-10
 
 
 def test_pruned_positions_match_masked_full_batch():
