@@ -65,10 +65,6 @@ class Tensor:
     def item(self):
         return float(self.values.reshape(-1)[0])
 
-    def copy(self, requires_grad=None):
-        rg = self.requires_grad if requires_grad is None else requires_grad
-        return Tensor(self.values.copy(), requires_grad=rg)
-
     # operator sugar; scalars are wrapped as constants
     def __add__(self, other):
         return add(self, _wrap(other))

@@ -44,7 +44,7 @@ def tiny_instance(seed):
     """Random policy/reference pair with one preference sample."""
     rng = np.random.default_rng(seed)
     policy = init_params(_V, _D, _K, n_blocks=1, seed=seed, scale=0.5)
-    reference = init_params(_V, _D, _K, n_blocks=1, seed=seed + 10_000, scale=0.5, requires_grad=False)
+    reference = init_params(_V, _D, _K, n_blocks=1, seed=seed + 10_000, scale=0.5).frozen()
     context = InputContext(rng.normal(size=_K), list(rng.integers(0, _V, size=2)))
     chosen = [int(t) for t in rng.integers(0, _V, size=_SEQ_LEN)]
     rejected = [int(t) for t in rng.integers(0, _V, size=_SEQ_LEN)]
@@ -212,7 +212,7 @@ def check_partials_vs_finite_diff(points=200, tol=1e-7):
 def check_closed_form_anchors():
     """ln 2 at policy==reference; L ln V for a uniform model; KL(pi,pi)=0."""
     policy, _, sample = tiny_instance(7)
-    frozen = policy.clone(requires_grad=False)
+    frozen = policy.frozen()
     e1 = abs(dpo_loss(policy, sample, 0.1, frozen).item() - math.log(2.0))
 
     uniform = init_params(_V, _D, _K, n_blocks=1, seed=0, scale=0.0)

@@ -22,6 +22,7 @@ from .autodiff import Tensor
 from .data import write_json
 
 __all__ = [
+    "param_shapes",
     "ModelParams",
     "init_params",
     "encode_context",
@@ -41,20 +42,33 @@ __all__ = [
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
+def param_shapes(vocab_size, dim, latent_dim, n_blocks):
+    """The model's one list of tensors, an ordered name -> shape dict: the
+    order `init_params` draws them, `params_hash` reads them and
+    `load_checkpoint` rebuilds them. A new parameter is one entry here plus
+    the forward code that reads it."""
+    blocks = {f"blocks.{i}.{w}": (dim, dim) for i in range(n_blocks) for w in ("w1", "w2")}
+    return {"embed": (vocab_size, dim), "img_proj": (latent_dim, dim), **blocks,
+            "out": (dim, vocab_size)}
+
+
 class ModelParams:
-    embed: Tensor      # (V, d) token embedding table
-    img_proj: Tensor   # (k, d) image-latent projector
-    blocks: list       # [(W1, W2), ...] residual MLP blocks, each (d, d)
-    out: Tensor        # (d, V) output projection
+    """The model's tensors, from a name -> Tensor mapping in `param_shapes`
+    order. The forward code reads `embed`, `img_proj`, `out` and `blocks`,
+    each residual MLP block's tensors in table order."""
+
+    def __init__(self, tensors):
+        named = self._named = dict(tensors)
+        self.embed, self.img_proj, self.out = named["embed"], named["img_proj"], named["out"]
+        blocks = {}  # "blocks.<i>" -> that block's tensors, in table order
+        for name, t in named.items():
+            if name.startswith("blocks."):
+                blocks.setdefault(name.rsplit(".", 1)[0], []).append(t)
+        self.blocks = [tuple(ws) for ws in blocks.values()]
 
     @property
     def vocab_size(self):
         return self.embed.values.shape[0]
-
-    @property
-    def dim(self):
-        return self.embed.values.shape[1]
 
     @property
     def latent_dim(self):
@@ -65,50 +79,32 @@ class ModelParams:
         return self.vocab_size - 1
 
     def named_tensors(self):
-        yield "embed", self.embed
-        yield "img_proj", self.img_proj
-        for i, (w1, w2) in enumerate(self.blocks):
-            yield f"blocks.{i}.w1", w1
-            yield f"blocks.{i}.w2", w2
-        yield "out", self.out
+        """(name, Tensor) pairs in `param_shapes` order."""
+        return self._named.items()
 
     def tensors(self):
-        return [t for _, t in self.named_tensors()]
+        return list(self._named.values())
 
     def frozen(self):
         """A grad-free view sharing these arrays: a forward pass through it
         builds no graph. It sees later in-place updates of the arrays."""
-        return ModelParams(
-            embed=Tensor(self.embed.values),
-            img_proj=Tensor(self.img_proj.values),
-            blocks=[(Tensor(w1.values), Tensor(w2.values)) for w1, w2 in self.blocks],
-            out=Tensor(self.out.values),
-        )
+        return ModelParams({name: Tensor(t.values) for name, t in self._named.items()})
 
-    def clone(self, requires_grad=None):
-        return ModelParams(
-            embed=self.embed.copy(requires_grad),
-            img_proj=self.img_proj.copy(requires_grad),
-            blocks=[(w1.copy(requires_grad), w2.copy(requires_grad)) for w1, w2 in self.blocks],
-            out=self.out.copy(requires_grad),
-        )
+    def clone(self):
+        """A trainable copy: fresh arrays, every tensor requiring grad."""
+        return ModelParams({name: Tensor(t.values.copy(), requires_grad=True)
+                            for name, t in self._named.items()})
 
 
-def init_params(vocab_size, dim, latent_dim, n_blocks=2, seed=0, scale=0.1, requires_grad=True):
+def init_params(vocab_size, dim, latent_dim, n_blocks=2, seed=0, scale=0.1):
+    """Trainable parameters drawn from N(0, scale^2), in `param_shapes` order."""
     if vocab_size < 16 or dim < 8 or n_blocks < 0:
         raise ValueError(f"desk-scale floor: vocab_size >= 16, dim >= 8, n_blocks >= 0; got "
                          f"{vocab_size}, {dim}, {n_blocks}")
     rng = np.random.default_rng(seed)
-
-    def t(shape):
-        return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=requires_grad)
-
-    return ModelParams(
-        embed=t((vocab_size, dim)),
-        img_proj=t((latent_dim, dim)),
-        blocks=[(t((dim, dim)), t((dim, dim))) for _ in range(n_blocks)],
-        out=t((dim, vocab_size)),
-    )
+    shapes = param_shapes(vocab_size, dim, latent_dim, n_blocks)
+    return ModelParams({name: Tensor(rng.normal(0.0, scale, size=shape), requires_grad=True)
+                        for name, shape in shapes.items()})
 
 
 def encode_context(params, image_latent, question):
@@ -322,9 +318,10 @@ def save_checkpoint(params, path):
 def load_checkpoint(path):
     """Read a checkpoint; ValueError on a file that is not a JSON object with
     an "arrays" object, an array entry without "shape" and "values", a shape
-    that is not a list of non-negative integers or does not hold its values,
-    a gap in the block indices, a missing or unexpected array, shapes that
-    disagree with each other, or a non-finite value."""
+    that is not a list of non-negative integers, values that are not a flat
+    list of as many finite numbers, or arrays whose names and shapes are not
+    `param_shapes` of the stored `embed`, `img_proj` and block count. Each
+    message names the array."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -334,44 +331,39 @@ def load_checkpoint(path):
     if not isinstance(arrays := doc.get("arrays"), dict):
         raise ValueError('checkpoint has no "arrays" object')
 
-    def t(name):
+    def array(name):
         a = arrays[name]
         if not isinstance(a, dict) or not {"shape", "values"} <= a.keys():
             raise ValueError(f'checkpoint array {name} needs "shape" and "values"')
-        shape, values = a["shape"], np.array(a["values"], dtype=np.float64)
+        shape, values = a["shape"], a["values"]
         if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
             raise ValueError(f"checkpoint array {name} has shape {shape!r}, "
                              "not a list of non-negative integers")
-        if values.size != math.prod(shape):
-            raise ValueError(f"checkpoint array {name} has {values.size} values, "
+        # numpy reads a bool as 0 or 1, and fails on a string or a ragged list naming no array
+        if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
+            raise ValueError(f"checkpoint array {name} values are not a flat list of numbers")
+        if len(values) != math.prod(shape):
+            raise ValueError(f"checkpoint array {name} has {len(values)} values, "
                              f"but shape {shape} holds {math.prod(shape)}")
-        values = values.reshape(shape)
+        values = np.array(values, dtype=np.float64).reshape(shape)
         if not np.all(np.isfinite(values)):
             raise ValueError(f"checkpoint tensor {name} has non-finite values")
         return Tensor(values, requires_grad=True)
 
-    block_ids = sorted({int(k.split(".")[1]) for k in arrays if k.startswith("blocks.")})
-    if block_ids != list(range(len(block_ids))):
-        raise ValueError(f"checkpoint block indices {block_ids} are not 0..n-1")
-    names = {"embed", "img_proj", "out", *(f"blocks.{i}.w{j}" for i in block_ids for j in "12")}
-    if set(arrays) != names:
-        raise ValueError(f"checkpoint arrays: unexpected {sorted(set(arrays) - names)}, "
-                         f"missing {sorted(names - set(arrays))}")
-    params = ModelParams(
-        embed=t("embed"),
-        img_proj=t("img_proj"),
-        blocks=[(t(f"blocks.{i}.w1"), t(f"blocks.{i}.w2")) for i in block_ids],
-        out=t("out"),
-    )
-    if any(t.values.ndim != 2 for t in params.tensors()):
-        raise ValueError("checkpoint tensors must be 2-D")
-    v, d, k = params.vocab_size, params.dim, params.latent_dim
-    expected = {"embed": (v, d), "img_proj": (k, d), "out": (d, v)}
+    block_ids = sorted({name.split(".")[1] for name in arrays if name.startswith("blocks.")})
+    names = param_shapes(0, 0, 0, len(block_ids))  # the names alone; the arrays give the shapes
+    if set(arrays) != set(names):
+        raise ValueError(f"checkpoint arrays with block indices {block_ids}: unexpected "
+                         f"{sorted(set(arrays) - set(names))}, "
+                         f"missing {sorted(set(names) - set(arrays))}")
+    params = ModelParams({name: array(name) for name in names})
+    if bad := [name for name, t in params.named_tensors() if t.values.ndim != 2]:
+        raise ValueError(f"checkpoint tensors {bad} are not 2-D")
+    shapes = param_shapes(*params.embed.values.shape, params.latent_dim, len(block_ids))
     for name, tensor in params.named_tensors():
-        shape = expected.get(name, (d, d))
-        if tensor.values.shape != shape:
+        if tensor.values.shape != shapes[name]:
             raise ValueError(f"checkpoint tensor {name} has shape {tensor.values.shape}, "
-                             f"expected {shape}")
+                             f"expected {shapes[name]}")
     return params
 
 

@@ -25,6 +25,7 @@ from .model import (
     greedy_decode_batch,
     init_params,
     pack,
+    param_shapes,
     params_hash,
 )
 from .world import (
@@ -212,25 +213,32 @@ def _mean(values):
     return sum(float(v) for v in values) / len(values)
 
 
+def _check_shapes(model, name, dim, n_blocks):
+    """ValueError naming `name` unless `model`'s tensor shapes are the world's `param_shapes`."""
+    got = {k: t.shape for k, t in model.named_tensors()}
+    want = param_shapes(VOCAB_SIZE, dim, latent_dim(), n_blocks)
+    if got != want:
+        raise ValueError(f"{name} shapes {got}, but dim {dim}, {n_blocks} blocks need {want}")
+
+
 def train(config: TrainConfig, records, init_model=None, trajectory=True):
     """Train one method; deterministic in (config, records, init_model).
 
     Returns (final ModelParams, list of StepRecord). The reference model is a
-    frozen copy of the initial parameters and is never mutated. With
+    frozen view of `init_model`, whose arrays training never writes. With
     `trajectory`, each step also runs the forwards that only its record
     reads: the SFT family's rejected captions before the update, and the KL
     of 4 chosen captions to the reference after it. Without, those fields are
     None; the parameters are the same either way. Raises ValueError when
-    `init_model`'s dim or block count is not the config's.
+    `init_model`'s tensor shapes are not the world's at the config's dim
+    and block count.
     """
     if init_model is None:
         init_model = init_params(VOCAB_SIZE, config.dim, latent_dim(),
                                  n_blocks=config.n_blocks, seed=config.seed)
-    got, want = (init_model.dim, len(init_model.blocks)), (config.dim, config.n_blocks)
-    if got != want:
-        raise ValueError(f"init_model (dim, n_blocks) = {got}, but the config asks for {want}")
-    params = init_model.clone(requires_grad=True)
-    reference = init_model.clone(requires_grad=False)
+    _check_shapes(init_model, "init_model", config.dim, config.n_blocks)
+    params = init_model.clone()
+    reference = init_model.frozen()
     ref_hash = params_hash(reference)
 
     views, ref_scores = build_training_views(records, config, reference=reference)
@@ -267,7 +275,7 @@ def train(config: TrainConfig, records, init_model=None, trajectory=True):
             **{name: _mean(stats[name]) for name in ("t1", "t2", "p_dpo") if name in stats},
         ))
 
-    assert params_hash(reference) == ref_hash  # the frozen reference stays frozen
+    assert params_hash(reference) == ref_hash  # training never writes its base
     return params, log
 
 
@@ -453,16 +461,12 @@ def run_experiment(spec: ExperimentSpec, base_model=None):
     trains every method from the shared base, and reports held-out
     metrics plus chosen/rejected log-prob movement on the training set.
     Raises ValueError, before any decoding or training, on a `base_model`
-    whose dim or block count differs from the spec's, or whose vocabulary
-    or latent size differs from the world's.
+    whose tensor shapes are not the world's at the spec's dim and block
+    count.
     """
     if base_model is None:
         base_model = pretrain_base(spec)
-    got = (base_model.dim, len(base_model.blocks), base_model.vocab_size, base_model.latent_dim)
-    want = (spec.dim, spec.n_blocks, VOCAB_SIZE, latent_dim())
-    if got != want:
-        raise ValueError(f"base model (dim, n_blocks, vocab_size, latent_dim) = {got}, but the "
-                         f"spec and the world need {want}")
+    _check_shapes(base_model, "base model", spec.dim, spec.n_blocks)
     pool = set(range(spec.object_pool_size))
     injected = make_preference_dataset(spec.train_n, spec.seed, object_pool=pool)
     records = self_response_records(base_model, injected, max_decode_len=spec.max_decode_len)

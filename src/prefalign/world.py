@@ -447,8 +447,9 @@ def write_dataset_jsonl(records, path):
 def read_dataset_jsonl(path):
     """Read records written by `write_dataset_jsonl`, skipping blank lines.
     ValueError naming the line on one that is not a JSON object, a missing
-    or malformed field (named too), a token id outside [0, VOCAB_SIZE) or a
-    chosen caption that is not the rendering of its scene."""
+    or malformed field (named too), a token id outside [0, VOCAB_SIZE), a
+    chosen caption that is not the rendering of its scene, or a rejected
+    caption that does not parse or equals the chosen one."""
     records = []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
@@ -460,6 +461,12 @@ def read_dataset_jsonl(path):
                     raise ValueError(f"token id outside [0, {VOCAB_SIZE})")
                 if rec.chosen != render_caption(rec.scene):
                     raise ValueError("chosen caption is not its scene's rendering")
+                if rec.rejected == rec.chosen:
+                    raise ValueError("rejected caption equals the chosen one")
+                try:
+                    parse_caption(rec.rejected)
+                except ValueError as exc:
+                    raise ValueError(f"rejected caption: {exc}") from None
             except ValueError as exc:
                 raise ValueError(f"{path} line {number}: {exc}") from None
             records.append(rec)

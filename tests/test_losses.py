@@ -70,7 +70,7 @@ def test_sft_loss_mask_contract():
 
 def test_dpo_logit_zero_when_policy_equals_reference():
     policy, _, sample = tiny_instance(0)
-    assert abs(dpo_logit(policy, sample, policy.clone(requires_grad=False)).item()) <= 1e-12
+    assert abs(dpo_logit(policy, sample, policy.frozen()).item()) <= 1e-12
 
 
 def test_dpo_logit_zero_when_chosen_equals_rejected():
@@ -94,7 +94,7 @@ def test_dpo_logit_matches_per_token_recomputation():
 
 def test_dpo_loss_ln2_at_reference():
     policy, _, sample = tiny_instance(3)
-    frozen = policy.clone(requires_grad=False)
+    frozen = policy.frozen()
     assert abs(dpo_loss(policy, sample, 0.1, frozen).item() - math.log(2.0)) <= 1e-12
 
 
@@ -143,7 +143,7 @@ def test_bt_probability_values():
 
 def test_implicit_reward_zero_at_reference_and_linear_in_beta():
     policy, _, sample = tiny_instance(7)
-    frozen = policy.clone(requires_grad=False)
+    frozen = policy.frozen()
     r_0 = implicit_reward(policy, sample.context, sample.chosen, 0.3, frozen).item()
     assert abs(r_0) <= 1e-12
     _, reference, _ = tiny_instance(8)
@@ -191,7 +191,7 @@ def test_conversation_sft_loss_rejects_conversation_without_answer_tokens():
 
 def test_per_token_kl_zero_at_identical_models():
     policy, _, sample = tiny_instance(13)
-    frozen = policy.clone(requires_grad=False)
+    frozen = policy.frozen()
     assert per_token_kl(policy, sample.context, sample.chosen, frozen).item() == 0.0
 
 

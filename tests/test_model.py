@@ -18,6 +18,7 @@ from prefalign.model import (
     init_params,
     pack,
     load_checkpoint,
+    param_shapes,
     params_hash,
     prefix_means,
     save_checkpoint,
@@ -324,13 +325,19 @@ def test_greedy_decode_batch_matches_single_decodes():
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
-    params = _params(seed=21)
-    path = tmp_path / "model.json"
-    save_checkpoint(params, path)
-    loaded = load_checkpoint(path)
-    for a, b in zip(params.tensors(), loaded.tensors()):
-        assert np.array_equal(a.values, b.values)
-    assert params_hash(params) == params_hash(loaded)
+    # param_shapes is the order of the tensors, at every block count
+    for n_blocks in range(4):
+        params = _params(seed=21, n_blocks=n_blocks)
+        shapes = param_shapes(V, D, K, n_blocks)
+        assert [(name, t.shape) for name, t in params.named_tensors()] == list(shapes.items())
+        assert len(params.blocks) == n_blocks
+        path = tmp_path / f"model{n_blocks}.json"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        assert [name for name, _ in loaded.named_tensors()] == list(shapes)
+        for a, b in zip(params.tensors(), loaded.tensors()):
+            assert np.array_equal(a.values, b.values)
+        assert params_hash(params) == params_hash(loaded)
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
@@ -375,6 +382,14 @@ def _drop_block_0_w2(arrays):
     del arrays["blocks.0.w2"]
 
 
+def _block_index_not_a_number(arrays):
+    arrays["blocks.x.w1"] = arrays.pop("blocks.1.w1")
+
+
+def _bool_in_block(arrays):
+    arrays["blocks.0.w1"]["values"][0] = True
+
+
 @pytest.mark.parametrize("corrupt, match", [
     (_edit_arrays(_drop_block_0), "block indices"), (_edit_arrays(_shrink_out), "shape"),
     (_edit_arrays(_nan_in_embed), "non-finite"),
@@ -393,10 +408,19 @@ def _drop_block_0_w2(arrays):
      "img_proj has shape .*, not a list of non-negative integers"),
     (_edit_arrays(lambda arrays: arrays["blocks.1.w1"].update(shape=[3, 3])),
      rf"blocks.1.w1 has {D * D} values, but shape \[3, 3\] holds 9"),
+    (_edit_arrays(lambda arrays: arrays["embed"].update(values={"0": 1.0})),
+     "embed values are not a flat list of numbers"),
+    (_edit_arrays(lambda arrays: arrays["out"].update(values="0.5")),
+     "out values are not a flat list of numbers"),
+    (_edit_arrays(lambda arrays: arrays["img_proj"].update(values=[[0.0], [0.0, 0.0]])),
+     "img_proj values are not a flat list of numbers"),
+    (_edit_arrays(_bool_in_block), "blocks.0.w1 values are not a flat list of numbers"),
+    (_edit_arrays(_block_index_not_a_number), r"unexpected \['blocks.x.w1'\]"),
 ], ids=["block_index_gap", "shape_mismatch", "non_finite", "extra_array", "missing_array",
         "not_an_object", "no_arrays", "arrays_not_an_object", "entry_without_shape",
         "entry_without_values", "shape_not_a_list", "shape_negative", "shape_not_integers",
-        "shape_disagrees_with_values"])
+        "shape_disagrees_with_values", "values_an_object", "values_a_string",
+        "values_ragged", "value_a_bool", "block_index_not_a_number"])
 def test_checkpoint_rejects_inconsistent_contents(tmp_path, corrupt, match):
     with pytest.raises(ValueError, match=match):
         load_checkpoint(_corrupted_checkpoint(tmp_path, corrupt))

@@ -186,6 +186,23 @@ def test_method_names_live_only_in_the_table():
     assert not named, f"method names outside training.METHODS (line, name): {named}"
 
 
+def test_parameter_names_live_only_in_the_model():
+    """A lint step: no `src/` module but `model.py` holds a parameter's name
+    ("embed", "img_proj", "out" or one starting "blocks.") as a string
+    constant, so adding a parameter is adding a `model.param_shapes` entry."""
+    paths = [p for p in sorted(ROOT.joinpath("src").rglob("*.py")) if p.name != "model.py"]
+    assert len(paths) > 10, "the scan found too few files"
+    named = {}
+    for path in paths:
+        found = sorted((node.lineno, node.value) for node in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                       and (node.value in ("embed", "img_proj", "out")
+                            or node.value.startswith("blocks.")))
+        if found:
+            named[str(path.relative_to(ROOT))] = found
+    assert not named, f"parameter names outside model.py (line, name): {named}"
+
+
 def _unused_imports(path):
     """Names an import binds in `path` that no expression reads, apart from
     `__future__` features and names listed in the module's `__all__`."""

@@ -106,15 +106,34 @@ def test_train_config_validation():
     assert set(METHODS) == {"cont_sft", "gt_dpo", "nsft", "sft_kl", "nsft_kl"}
 
 
-@pytest.mark.parametrize("dim, n_blocks", [(32, 1), (32, 2), (16, 1), (16, 3)])
-def test_train_rejects_init_model_of_another_shape(monkeypatch, dim, n_blocks):
+@pytest.mark.parametrize("dim, n_blocks, vocab_size", [
+    (32, 1, world.VOCAB_SIZE), (32, 2, world.VOCAB_SIZE), (16, 1, world.VOCAB_SIZE),
+    (16, 3, world.VOCAB_SIZE), (16, 2, 48),
+], ids=["32-1", "32-2", "16-1", "16-3", "vocab_48"])
+def test_train_rejects_init_model_of_another_shape(monkeypatch, dim, n_blocks, vocab_size):
+    # a 48-token base has the config's dim and blocks, but would train with eos_id 47
     def fail(*args, **kwargs):
         raise AssertionError("training views built for a rejected init_model")
 
     monkeypatch.setattr(training, "build_training_views", fail)
-    init = init_params(world.VOCAB_SIZE, dim, world.latent_dim(), n_blocks=n_blocks)
-    with pytest.raises(ValueError, match=r"init_model \(dim, n_blocks\) = "):
+    init = init_params(vocab_size, dim, world.latent_dim(), n_blocks=n_blocks)
+    with pytest.raises(ValueError, match=r"init_model shapes \{'embed': "
+                                         rf"\({vocab_size}, {dim}\), .*, but dim 16, 2 blocks need"):
         train(_config(dim=16, n_blocks=2), RECORDS, init_model=init)
+
+
+@pytest.mark.parametrize("trajectory", [True, False])
+@pytest.mark.parametrize("method", METHODS)
+def test_train_never_writes_its_base(method, trajectory):
+    # the reference is a frozen view of the base, so only a copy may train
+    init = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=5)
+    before = params_hash(init)
+    params, _ = train(_config(method=method, lr=1e-2), RECORDS, init_model=init,
+                      trajectory=trajectory)
+    assert params_hash(init) == before
+    assert params_hash(params) != before  # it trained
+    assert not any(np.shares_memory(a.values, b.values)
+                   for a in params.tensors() for b in init.tensors())
 
 
 # Recorded from the per-sample training loop before it shared one SGD step
@@ -285,7 +304,7 @@ def _per_sample_loss(params, reference, i, views, ref_scores, config):
 def test_packed_batch_loss_matches_per_sample_graphs(method):
     config = _config(method=method, batch_size=8)
     params = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=0)
-    reference = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=1, requires_grad=False)
+    reference = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=1).frozen()
     views, ref_scores = build_training_views(RECORDS, config, reference=reference)
     assert (ref_scores is None) == (METHODS[method].row != "rejected")
     idx = np.random.default_rng(3).integers(0, len(views), size=8)
@@ -371,7 +390,7 @@ def test_gt_dpo_logs_ratio_statistics_and_sft_does_not():
 def test_training_views_constructed_only_for_nsft_methods():
     # every view's rows are its chosen caption, then its rejected caption;
     # nSFT adds the constructed conversation, which opens with a QA turn
-    reference = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=0, requires_grad=False)
+    reference = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=0).frozen()
     for method in ("cont_sft", "gt_dpo", "nsft"):
         views, ref_scores = build_training_views(RECORDS, _config(method=method),
                                                  reference=reference)

@@ -154,6 +154,9 @@ def test_dataset_serialization_byte_identical(tmp_path):
     assert [r.to_dict() for r in read_dataset_jsonl(p2)] == [r.to_dict() for r in records]
 
 
+_RECORD = make_preference_dataset(1, 4)[0].to_dict()
+
+
 def _write_edited(tmp_path, edit):
     path = tmp_path / "edited.jsonl"
     write_dataset_jsonl(make_preference_dataset(3, 4), path)
@@ -167,7 +170,12 @@ def _write_edited(tmp_path, edit):
     ("{}", r"line 4: field 'seed' is missing or malformed"),
     ('{"seed": 1, "scene": [[1, 2]]}', r"line 4: field 'scene' is missing or malformed"),
     ("[1, 2]", r"line 4: a record must be a JSON object, got list"),
-], ids=["empty_object", "scene_entry_of_two", "not_an_object"])
+    (json.dumps({**_RECORD, "rejected_tokens": _RECORD["chosen_tokens"]}),
+     r"line 4: rejected caption equals the chosen one"),
+    (json.dumps({**_RECORD, "rejected_tokens": _RECORD["chosen_tokens"][:-1]}),
+     r"line 4: rejected caption: caption must end with <eos>"),
+], ids=["empty_object", "scene_entry_of_two", "not_an_object", "rejected_equals_chosen",
+        "rejected_does_not_parse"])
 def test_read_dataset_names_the_line_and_field(tmp_path, line, match):
     path = tmp_path / "bad.jsonl"
     write_dataset_jsonl(make_preference_dataset(2, 4), path)
