@@ -326,8 +326,8 @@ def load_checkpoint(path):
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"checkpoint must be a JSON object, got {type(doc).__name__}")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {doc.get('version')}")
+    if (version := doc.get("version")) != CHECKPOINT_VERSION or type(version) is not int:
+        raise ValueError(f"unsupported checkpoint version: {version!r}")
     if not isinstance(arrays := doc.get("arrays"), dict):
         raise ValueError('checkpoint has no "arrays" object')
 
@@ -345,7 +345,10 @@ def load_checkpoint(path):
         if len(values) != math.prod(shape):
             raise ValueError(f"checkpoint array {name} has {len(values)} values, "
                              f"but shape {shape} holds {math.prod(shape)}")
-        values = np.array(values, dtype=np.float64).reshape(shape)
+        try:
+            values = np.array(values, dtype=np.float64).reshape(shape)
+        except OverflowError:
+            raise ValueError(f"checkpoint array {name} has a value beyond float range") from None
         if not np.all(np.isfinite(values)):
             raise ValueError(f"checkpoint tensor {name} has non-finite values")
         return Tensor(values, requires_grad=True)

@@ -34,7 +34,6 @@ from .world import (
     OBJECTS,
     VOCAB_SIZE,
     PreferenceRecord,
-    diff_captions,
     latent_dim,
     make_preference_dataset,
     parse_caption,
@@ -345,25 +344,17 @@ def _decode_records(params, rows, max_decode_len):
 def self_response_records(params, records, max_decode_len=16):
     """Replace injected rejected captions with the model's own mistakes.
 
-    Each record's greedy decode becomes the rejected side when it is
-    parseable, differs from the chosen caption, and names no object
-    twice (the caption-diff oracle needs unique objects); otherwise the
-    original record is kept as a fallback.
+    Each record's greedy decode becomes the rejected side when it makes a
+    valid `PreferenceRecord` (it parses, names each object once and makes
+    at least one error); otherwise the original record is kept as a
+    fallback.
     """
     out = []
     for rec, decoded in zip(records, _decode_records(params, _caption_rows(records),
                                                      max_decode_len)):
-        usable = False
-        if decoded != rec.chosen:
-            try:
-                clauses = parse_caption(decoded)
-                usable = len({cl.obj for cl in clauses}) == len(clauses)
-            except ValueError:
-                pass
-        if usable:
-            corruptions = diff_captions(parse_caption(rec.chosen), clauses)
-            out.append(PreferenceRecord(rec.seed, rec.scene, rec.chosen, decoded, corruptions))
-        else:
+        try:
+            out.append(PreferenceRecord(rec.seed, rec.scene, rec.chosen, decoded))
+        except ValueError:
             out.append(rec)
     return out
 

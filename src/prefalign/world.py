@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,8 +109,8 @@ class Scene:
                   "count": (1, len(COUNT_WORDS) + 1)}
         for o in self.objects:
             for name, (lo, hi) in bounds.items():
-                if not lo <= getattr(o, name) < hi:
-                    raise ValueError(f"scene object {name} {getattr(o, name)} outside [{lo}, {hi})")
+                if type(value := getattr(o, name)) is not int or not lo <= value < hi:
+                    raise ValueError(f"scene object {name} {value!r} is not an int or outside [{lo}, {hi})")
 
     def object_ids(self):
         return {o.obj for o in self.objects}
@@ -317,10 +317,7 @@ def corrupt(caption, corruption_seed):
             new_clauses[new_clauses.index(cl)] = repl
             recorded.append(Corruption(CAT_COUNT, idx, _triple(cl), _triple(repl)))
     new_clauses = [cl for cl in new_clauses if cl not in omitted]
-    assert new_clauses  # omission is never drawn for 1-object scenes
-    rejected = _render_clauses(new_clauses)
-    assert rejected != list(caption)
-    return rejected, recorded
+    return _render_clauses(new_clauses), recorded
 
 
 # draw weights compensate for applicability constraints (omission needs a
@@ -367,13 +364,41 @@ def _draw_categories(rng, clauses, n_corr):
 
 @dataclass
 class PreferenceRecord:
-    """One dataset row: scene, chosen/rejected captions, corruption truth."""
+    """One dataset row: scene, chosen/rejected captions, corruption truth.
+    ValueError unless `seed` >= 0, token ids are ints in [0, VOCAB_SIZE),
+    `chosen` renders `scene`, and `rejected` differs, parses, names each object
+    once and makes an error; `corruptions` are those errors (default: the diff)."""
 
     seed: int
     scene: Scene
     chosen: list[int]
     rejected: list[int]
-    corruptions: list[Corruption] = field(default_factory=list)
+    corruptions: list[Corruption] | None = None
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not all(type(t) is int and 0 <= t < VOCAB_SIZE for t in self.chosen + self.rejected):
+            raise ValueError(f"a token id is not an int in [0, {VOCAB_SIZE})")
+        if self.chosen != render_caption(self.scene):
+            raise ValueError("chosen caption is not its scene's rendering")
+        if self.rejected == self.chosen:
+            raise ValueError("rejected caption equals the chosen one")
+        try:
+            clauses = parse_caption(self.rejected)
+        except ValueError as exc:
+            raise ValueError(f"rejected caption: {exc}") from None
+        if len({cl.obj for cl in clauses}) != len(clauses):
+            raise ValueError("rejected caption names an object twice")
+        # the rendering check makes the scene's objects the chosen clauses
+        errors = diff_captions(self.scene.objects, clauses)
+        if not errors:
+            raise ValueError("rejected caption makes no error: it reorders the chosen clauses")
+        if self.corruptions is None:
+            self.corruptions = errors
+        elif len(self.corruptions) != len(errors) or any(
+                self.corruptions.count(e) != errors.count(e) for e in errors):
+            raise ValueError("corruptions are not the caption diff of rejected against chosen")
 
     def to_sample(self):
         return PreferenceSample(
@@ -393,7 +418,7 @@ class PreferenceRecord:
 
     @classmethod
     def from_dict(cls, d):
-        """ValueError naming the field that is missing or malformed."""
+        """ValueError naming the missing or malformed field, or the record check failed."""
         if not isinstance(d, dict):
             raise ValueError(f"a record must be a JSON object, got {type(d).__name__}")
         def get(key, convert):
@@ -447,27 +472,15 @@ def write_dataset_jsonl(records, path):
 def read_dataset_jsonl(path):
     """Read records written by `write_dataset_jsonl`, skipping blank lines.
     ValueError naming the line on one that is not a JSON object, a missing
-    or malformed field (named too), a token id outside [0, VOCAB_SIZE), a
-    chosen caption that is not the rendering of its scene, or a rejected
-    caption that does not parse or equals the chosen one."""
+    or malformed field (named too), or a record that `PreferenceRecord`
+    rejects."""
     records = []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                rec = PreferenceRecord.from_dict(json.loads(line))
-                if not all(0 <= t < VOCAB_SIZE for t in rec.chosen + rec.rejected):
-                    raise ValueError(f"token id outside [0, {VOCAB_SIZE})")
-                if rec.chosen != render_caption(rec.scene):
-                    raise ValueError("chosen caption is not its scene's rendering")
-                if rec.rejected == rec.chosen:
-                    raise ValueError("rejected caption equals the chosen one")
-                try:
-                    parse_caption(rec.rejected)
-                except ValueError as exc:
-                    raise ValueError(f"rejected caption: {exc}") from None
+                records.append(PreferenceRecord.from_dict(json.loads(line)))
             except ValueError as exc:
                 raise ValueError(f"{path} line {number}: {exc}") from None
-            records.append(rec)
     return records

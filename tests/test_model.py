@@ -390,6 +390,10 @@ def _bool_in_block(arrays):
     arrays["blocks.0.w1"]["values"][0] = True
 
 
+def _beyond_float_range(arrays):
+    arrays["out"]["values"][0] = 10**400
+
+
 @pytest.mark.parametrize("corrupt, match", [
     (_edit_arrays(_drop_block_0), "block indices"), (_edit_arrays(_shrink_out), "shape"),
     (_edit_arrays(_nan_in_embed), "non-finite"),
@@ -416,11 +420,14 @@ def _bool_in_block(arrays):
      "img_proj values are not a flat list of numbers"),
     (_edit_arrays(_bool_in_block), "blocks.0.w1 values are not a flat list of numbers"),
     (_edit_arrays(_block_index_not_a_number), r"unexpected \['blocks.x.w1'\]"),
+    (_edit_arrays(_beyond_float_range), "out has a value beyond float range"),
+    (lambda doc: {**doc, "version": True}, "unsupported checkpoint version: True"),
 ], ids=["block_index_gap", "shape_mismatch", "non_finite", "extra_array", "missing_array",
         "not_an_object", "no_arrays", "arrays_not_an_object", "entry_without_shape",
         "entry_without_values", "shape_not_a_list", "shape_negative", "shape_not_integers",
         "shape_disagrees_with_values", "values_an_object", "values_a_string",
-        "values_ragged", "value_a_bool", "block_index_not_a_number"])
+        "values_ragged", "value_a_bool", "block_index_not_a_number", "value_beyond_float_range",
+        "version_a_bool"])
 def test_checkpoint_rejects_inconsistent_contents(tmp_path, corrupt, match):
     with pytest.raises(ValueError, match=match):
         load_checkpoint(_corrupted_checkpoint(tmp_path, corrupt))

@@ -1,5 +1,6 @@
 """Packaging: every third-party module the code imports is declared, the
-record-to-model-input decision and the scorer each stay in one module,
+record-to-model-input decision and the scorer each stay in one module, the
+caption diff is read only where records and corrective turns are built,
 the names the benchmark pins exist and its calls of them bind, every import
 is read, every loss takes its reference model last, README's examples match
 the code, and the pytest settings report failures normally."""
@@ -79,6 +80,13 @@ def _names_used(module):
 def test_driver_modules_do_not_build_model_input(module):
     used = _names_used(module) & _INPUT_BUILDING_NAMES
     assert not used, f"{module} uses {sorted(used)}"
+
+
+def test_only_world_and_constructor_read_the_caption_diff():
+    # whether a rejected caption is usable is decided once, in `world.PreferenceRecord`
+    readers = {p.name for p in ROOT.joinpath("src", "prefalign").glob("*.py")
+               if "diff_captions" in _names_used(p.name)}
+    assert readers <= {"world.py", "constructor.py"}, f"{sorted(readers)} read diff_captions"
 
 
 def test_training_scores_only_through_packed_logprobs():

@@ -497,6 +497,20 @@ def test_self_response_records_contract():
     assert [r.rejected for r in again] == [r.rejected for r in out]
 
 
+def test_self_response_records_keeps_a_decode_only_when_it_is_a_preference_record(monkeypatch):
+    recs = [r for r in RECORDS if len(r.scene.objects) >= 2][:3]
+    reordered = recs[0].chosen[4:8] + recs[0].chosen[:4] + recs[0].chosen[8:]
+    twice = recs[1].chosen[:4] * 2 + [world.EOS_ID]
+    wrong = world.corrupt(recs[2].chosen, 0)[0]
+    assert wrong not in (recs[2].chosen, recs[2].rejected)
+    monkeypatch.setattr(training, "_decode_records",
+                        lambda params, rows, max_decode_len: [reordered, twice, wrong])
+    out = self_response_records(None, recs)
+    assert out[0] is recs[0] and out[1] is recs[1]
+    assert out[2].rejected == wrong
+    assert out[2].corruptions == constructor.RuleBasedOracle().identify(wrong, recs[2].chosen)
+
+
 def test_mean_sequence_logprobs_matches_manual():
     from prefalign.losses import sequence_logprob
 

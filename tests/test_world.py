@@ -155,6 +155,14 @@ def test_dataset_serialization_byte_identical(tmp_path):
 
 
 _RECORD = make_preference_dataset(1, 4)[0].to_dict()
+_TWO_OBJECTS = make_preference_dataset(2, 4)[1].to_dict()
+_COLOR_ERROR = make_preference_dataset(1, 3)[0].to_dict()  # three yellow hat; rejected purple
+assert len(_TWO_OBJECTS["scene"]) == 2
+assert [c["category"] for c in _COLOR_ERROR["corruptions"]] == [world.CAT_COLOR]
+
+
+def _with_rejected_token(token):
+    return json.dumps({**_RECORD, "rejected_tokens": [token, *_RECORD["rejected_tokens"][1:]]})
 
 
 def _write_edited(tmp_path, edit):
@@ -174,8 +182,23 @@ def _write_edited(tmp_path, edit):
      r"line 4: rejected caption equals the chosen one"),
     (json.dumps({**_RECORD, "rejected_tokens": _RECORD["chosen_tokens"][:-1]}),
      r"line 4: rejected caption: caption must end with <eos>"),
+    (json.dumps({**_RECORD, "seed": -5}), r"line 4: seed must be >= 0, got -5"),
+    (_with_rejected_token("2"), r"line 4: a token id is not an int in \[0, 45\)"),
+    (_with_rejected_token(2.0), r"line 4: a token id is not an int in \[0, 45\)"),
+    (json.dumps({**_COLOR_ERROR, "rejected_tokens": world.words_to_tokens(
+        "three yellow hat . three yellow hat . <eos>".split())}),
+     r"line 4: rejected caption names an object twice"),
+    (json.dumps({**_TWO_OBJECTS, "rejected_tokens": _TWO_OBJECTS["chosen_tokens"][4:8]
+                 + _TWO_OBJECTS["chosen_tokens"][:4] + [world.EOS_ID]}),
+     r"line 4: rejected caption makes no error"),
+    (json.dumps({**_COLOR_ERROR, "corruptions": [
+        {"category": CAT_FABRICATION, "target_index": -1, "original": None,
+         "replacement": [4, 3, 3]}]}),
+     r"line 4: corruptions are not the caption diff"),
 ], ids=["empty_object", "scene_entry_of_two", "not_an_object", "rejected_equals_chosen",
-        "rejected_does_not_parse"])
+        "rejected_does_not_parse", "negative_seed", "token_a_string", "token_a_float",
+        "rejected_names_an_object_twice", "rejected_reorders_the_chosen",
+        "corruptions_disagree_with_the_diff"])
 def test_read_dataset_names_the_line_and_field(tmp_path, line, match):
     path = tmp_path / "bad.jsonl"
     write_dataset_jsonl(make_preference_dataset(2, 4), path)
@@ -200,10 +223,12 @@ def test_read_dataset_rejects_chosen_that_is_not_the_scene_rendering(tmp_path):
 
 
 @pytest.mark.parametrize("field, triple", [("obj", (25, 0, 1)), ("count", (3, 0, 5)),
-                                            ("color", (3, 9, 1))])
+                                            ("color", (3, 9, 1)), ("obj", (3.0, 0, 1)),
+                                            ("count", (3, 0, True))])
 def test_read_dataset_rejects_scene_attributes_out_of_range(tmp_path, field, triple):
-    # each renders to in-vocabulary ids (25, 0, 1 reads "one red color ."),
-    # so the chosen-caption check alone would let it through
+    # the first three render to in-vocabulary ids (25, 0, 1 reads "one red color .") and
+    # the bool to those of the int it equals, so the chosen-caption check alone would let
+    # them through; a float would reach `featurize` as an array index
     def edit(doc):
         doc["scene"] = [list(triple)]
         doc["chosen_tokens"] = render_caption(SimpleNamespace(objects=[SceneObject(*triple)]))
