@@ -391,8 +391,7 @@ def _score_pairs(params, rows, initial_model=None):
     rejected captions, and, with `initial_model`, each chosen caption's
     `per_token_kl` from it (else an empty list), as lists: one frozen policy
     forward per chunk, the initial model on the chosen rows only. A chunk's
-    batch lives until the next is packed; freeing it first took 9400 minor
-    page faults per 500-record call on the eval benchmark, against 560-1130."""
+    batch lives until the next is packed."""
     if not rows:
         raise ValueError("need at least one record")
     policy = params.frozen()

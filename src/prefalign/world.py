@@ -427,8 +427,13 @@ class PreferenceRecord:
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"field {key!r} is missing or malformed: {exc!r}") from None
 
+        def seed(v):
+            if type(v) is bool:  # operator.index reads true as 1
+                raise TypeError("a seed is an int, not a bool")
+            return operator.index(v)
+
         return cls(
-            seed=get("seed", operator.index),
+            seed=get("seed", seed),
             scene=get("scene", lambda v: Scene([SceneObject(*o) for o in v])),
             chosen=get("chosen_tokens", list),
             rejected=get("rejected_tokens", list),

@@ -269,5 +269,5 @@ def test_backward_allocates_zeros_only_for_unreached_params(monkeypatch):
     monkeypatch.setattr(np, "zeros_like", counting_zeros_like)
     g = backward(ad.tsum(ad.mul(a, a)), [a, b])
     assert calls == [(2,)]
-    assert np.array_equal(g[a], 2.0 * np.ones(3)) and g[a] is a.grad
-    assert np.array_equal(g[b], np.zeros(2)) and g[b] is b.grad
+    assert np.array_equal(g[a], 2.0 * np.ones(3))
+    assert np.array_equal(g[b], np.zeros(2))

@@ -89,6 +89,14 @@ def test_only_world_and_constructor_read_the_caption_diff():
     assert readers <= {"world.py", "constructor.py"}, f"{sorted(readers)} read diff_captions"
 
 
+def test_one_module_sets_the_allocator():
+    # the glibc trim threshold is process-wide, so it is set in one place
+    for word in ("ctypes", "mallopt"):
+        modules = {p.name for p in ROOT.joinpath("src").rglob("*.py")
+                   if re.search(rf"\b{word}\b", p.read_text())}
+        assert modules == {"autodiff.py"}, f"{word} appears in {sorted(modules)}"
+
+
 def test_training_scores_only_through_packed_logprobs():
     used = _names_used("training.py") & _SCORING_NAMES
     assert not used, f"training.py uses {sorted(used)}; score through losses.packed_logprobs"

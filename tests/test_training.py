@@ -1,10 +1,12 @@
 """Continual-alignment training loop: determinism, logging, method
 comparison scaffolding, and the experiment pipeline at toy sizes."""
 
+import ctypes
 import dataclasses
 import io
 import math
 import re
+import resource
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -279,6 +281,25 @@ def test_make_base_model_builds_no_turn_per_step(monkeypatch):
         monkeypatch.setattr(module, "Turn", lambda *a, real=real: turns.append(1) or real(*a))
     make_base_model(RECORDS, dim=16, steps=20)
     assert len(turns) == 2 * len(RECORDS)
+
+
+def _libc_has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+def test_make_base_model_does_not_refault_its_heap():
+    # a cost guard: `autodiff` fixes glibc's trim threshold, so each step's freed
+    # graph stays on the heap for the next step instead of being trimmed and faulted
+    # back in (without it the second call took 700-6000 minor faults, with it 5-40)
+    records = world.make_preference_dataset(200, 999)
+    make_base_model(records, dim=64, steps=100)  # the heap grows to a step's working size
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    make_base_model(records, dim=64, steps=300)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 300
 
 
 def _per_sample_loss(params, reference, i, views, ref_scores, config):

@@ -183,6 +183,7 @@ def _write_edited(tmp_path, edit):
     (json.dumps({**_RECORD, "rejected_tokens": _RECORD["chosen_tokens"][:-1]}),
      r"line 4: rejected caption: caption must end with <eos>"),
     (json.dumps({**_RECORD, "seed": -5}), r"line 4: seed must be >= 0, got -5"),
+    (json.dumps({**_RECORD, "seed": True}), r"line 4: field 'seed' is missing or malformed"),
     (_with_rejected_token("2"), r"line 4: a token id is not an int in \[0, 45\)"),
     (_with_rejected_token(2.0), r"line 4: a token id is not an int in \[0, 45\)"),
     (json.dumps({**_COLOR_ERROR, "rejected_tokens": world.words_to_tokens(
@@ -196,8 +197,8 @@ def _write_edited(tmp_path, edit):
          "replacement": [4, 3, 3]}]}),
      r"line 4: corruptions are not the caption diff"),
 ], ids=["empty_object", "scene_entry_of_two", "not_an_object", "rejected_equals_chosen",
-        "rejected_does_not_parse", "negative_seed", "token_a_string", "token_a_float",
-        "rejected_names_an_object_twice", "rejected_reorders_the_chosen",
+        "rejected_does_not_parse", "negative_seed", "seed_a_bool", "token_a_string",
+        "token_a_float", "rejected_names_an_object_twice", "rejected_reorders_the_chosen",
         "corruptions_disagree_with_the_diff"])
 def test_read_dataset_names_the_line_and_field(tmp_path, line, match):
     path = tmp_path / "bad.jsonl"
