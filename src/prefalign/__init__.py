@@ -10,14 +10,7 @@ becomes a corrective question-answer turn.
 
 from .autodiff import Tensor, backward, finite_diff, relative_error
 from .data import Conversation, InputContext, PreferenceSample, Turn
-from .losses import (
-    bt_probability,
-    dpo_logit,
-    dpo_loss,
-    implicit_reward,
-    per_token_kl,
-    sft_loss,
-)
+from .losses import dpo_logit, dpo_loss, per_token_kl, sft_loss
 from .metrics import CaptionEval, chair
 from .model import ModelParams, encode_context, greedy_decode, init_params, token_logprobs
 from .theory import RatioPoint, bias_trajectory_report, dpo_loss_t, dpo_partials, update_rate_ratio

@@ -1,14 +1,15 @@
-"""Numerical identity checks tying the losses to their closed forms.
+"""Numerical identity checks tying the training loss to its closed forms.
 
-Each check returns (name, passed, detail). The CLI's check-theory
-subcommand and the acceptance tests both run these, so a tolerance
-lives in exactly one place. A running worst error is taken with
-numpy's maximum, which keeps a NaN where the builtin `max` drops it, so
-a NaN error fails its check.
+Every loss a check reads is `training.batch_loss` of a one-view batch.
+Each check returns (name, passed, detail); check-theory and the acceptance
+tests both run these, so a tolerance lives in exactly one place. A running
+worst error is numpy's maximum, which keeps a NaN that the builtin `max`
+drops, so a NaN error fails its check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -16,18 +17,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import backward, relative_error
 from .data import InputContext, PreferenceSample
-from .losses import (
-    bt_probability,
-    dpo_logit,
-    dpo_loss,
-    dpo_margin,
-    dpo_margin_loss,
-    implicit_reward,
-    per_token_kl,
-    sft_loss,
-)
+from .losses import dpo_margin, dpo_margin_loss, packed_logprobs
 from .model import batch_logprob_matrix, init_params, pack
 from .theory import RatioPoint, dpo_loss_t, dpo_partials, update_rate_ratio
+from .training import METHODS, TrainConfig, batch_loss
 
 __all__ = ["tiny_instance", "stacked_losses", "stacked_finite_diff", "run_all_checks", "CHECKS"]
 
@@ -50,8 +43,33 @@ def tiny_instance(seed):
     rejected = [int(t) for t in rng.integers(0, _V, size=_SEQ_LEN)]
     if rejected == chosen:
         rejected[0] = (rejected[0] + 1) % _V
-    sample = PreferenceSample(context, chosen, rejected)
-    return policy, reference, sample
+    return policy, reference, PreferenceSample(context, chosen, rejected)
+
+
+@functools.cache
+def _config(row, kl, beta=0.1):
+    """The `TrainConfig` of the `METHODS` entry with this row and KL flag, KL weight 1."""
+    name = next(k for k, m in METHODS.items() if (m.row, m.kl) == (row, kl))
+    return TrainConfig(method=name, beta=beta, kl_weight=1.0)
+
+
+def _views(sample):
+    """One-view batches of `sample`'s caption rows: (chosen, rejected) and the swap."""
+    c, r = (sample.context.caption_conversation(y).flatten()
+            for y in (sample.chosen, sample.rejected))
+    return [(c, r)], [(r, c)]
+
+
+def _sft(params, views, reference=None):
+    """The SFT family's `batch_loss` of one view: with `reference`, sft_kl's."""
+    return batch_loss(params, reference, views, _config(None, reference is not None))[0]
+
+
+def _dpo(params, views, beta, reference=None):
+    """gt_dpo's `batch_loss` of one view over `reference`'s sequence log-probs, else zeros."""
+    scores = [0.0, 0.0] if reference is None else [lp.item() for lp in packed_logprobs(
+        reference.frozen(), pack(reference, views[0][:2]), 1)[1:3]]
+    return batch_loss(params, None, views, _config("rejected", False, beta), np.array([scores]))
 
 
 def check_logit_sft_identity(seeds=200, tol=1e-10):
@@ -59,23 +77,25 @@ def check_logit_sft_identity(seeds=200, tol=1e-10):
     worst = 0.0
     for s in range(seeds):
         policy, _, sample = tiny_instance(s)
-        p = dpo_logit(policy, sample).item()
-        l_c = sft_loss(policy, sample.context, sample.chosen).item()
-        l_r = sft_loss(policy, sample.context, sample.rejected).item()
+        frozen, (views, swapped) = policy.frozen(), _views(sample)
+        p = _dpo(frozen, views, 0.1)[1]["p_dpo"][0]
+        l_c, l_r = _sft(frozen, views).item(), _sft(frozen, swapped).item()
         worst = np.maximum(worst, abs(p + (l_c - l_r)))
     return worst <= tol, f"max |p'_dpo + dL_sft| = {worst:.3e} (tol {tol:g})"
 
 
 def check_frozen_reference_gradients(seeds=100, tol=1e-10):
-    """grad of dpo_logit equals its gradient without a reference: the
-    reference contributes constants only."""
+    """sft_kl's loss with a trainable clone of the reference: the clone gets zero
+    gradient and the policy the frozen view's, so the reference is constants only."""
     worst = 0.0
     for s in range(seeds):
         policy, reference, sample = tiny_instance(s)
-        g_ref = backward(dpo_logit(policy, sample, reference), policy.tensors())
-        g_noref = backward(dpo_logit(policy, sample), policy.tensors())
-        for t in policy.tensors():
-            worst = np.maximum(worst, np.max(np.abs(g_ref[t] - g_noref[t])))
+        views, clone = _views(sample)[0], reference.clone()
+        tensors = policy.tensors() + clone.tensors()  # the clone's are zero in g_frozen
+        g_frozen = backward(_sft(policy, views, reference), tensors)
+        g_clone = backward(_sft(policy, views, clone), tensors)
+        for t in tensors:
+            worst = np.maximum(worst, np.max(np.abs(g_frozen[t] - g_clone[t])))
     return worst <= tol, f"max |grad diff| = {worst:.3e} (tol {tol:g})"
 
 
@@ -84,12 +104,12 @@ def check_gradient_decomposition(seeds=100, tol=1e-6):
     worst = 0.0
     for s in range(seeds):
         policy, reference, sample = tiny_instance(s)
+        views, swapped = _views(sample)
         beta = 0.1 + 0.4 * (s % 5) / 5.0
-        p = dpo_logit(policy, sample, reference).item()
-        scale = beta / (1.0 + math.exp(beta * p))  # beta * sigma(-beta p)
-        g_dpo = backward(dpo_loss(policy, sample, beta, reference), policy.tensors())
-        g_c = backward(sft_loss(policy, sample.context, sample.chosen), policy.tensors())
-        g_r = backward(sft_loss(policy, sample.context, sample.rejected), policy.tensors())
+        loss, stats = _dpo(policy, views, beta, reference)
+        scale = beta / (1.0 + math.exp(beta * stats["p_dpo"][0]))  # beta * sigma(-beta p)
+        g_dpo, g_c, g_r = (backward(f, policy.tensors())
+                           for f in (loss, _sft(policy, views), _sft(policy, swapped)))
         for t in policy.tensors():
             worst = np.maximum(worst, relative_error(g_dpo[t], scale * (g_c[t] - g_r[t])))
     return worst <= tol, f"max componentwise rel err = {worst:.3e} (tol {tol:g})"
@@ -162,7 +182,8 @@ def stacked_finite_diff(policy, reference, sample, beta):
 
 
 def check_losses_vs_finite_diff(seeds=100, tol=1e-5):
-    """backward matches the central-difference oracle for every loss.
+    """backward matches the central-difference oracle for every loss: the SFT
+    family's, gt_dpo's and the KL term, sft_kl's loss less the SFT family's.
 
     The oracle is `stacked_finite_diff`: every +-`_FD_EPS` copy of the policy
     runs through one batched forward per chunk of coordinates, and all
@@ -171,12 +192,13 @@ def check_losses_vs_finite_diff(seeds=100, tol=1e-5):
     worst, beta = 0.0, 0.2
     for s in range(seeds):
         policy, reference, sample = tiny_instance(s)
-        tensors = policy.tensors()
-        losses = (sft_loss(policy, sample.context, sample.chosen),
-                  dpo_loss(policy, sample, beta, reference),
-                  per_token_kl(policy, sample.context, sample.chosen, reference))
-        for loss, g_fd in zip(losses, stacked_finite_diff(policy, reference, sample, beta)):
-            g_b = backward(loss, tensors)
+        tensors, views = policy.tensors(), _views(sample)[0]
+        g_sft, g_dpo, g_sft_kl = (backward(f, tensors) for f in (
+            _sft(policy, views), _dpo(policy, views, beta, reference)[0],
+            _sft(policy, views, reference)))
+        g_kl = {t: g_sft_kl[t] - g_sft[t] for t in tensors}
+        for g_b, g_fd in zip((g_sft, g_dpo, g_kl),
+                             stacked_finite_diff(policy, reference, sample, beta)):
             for t in tensors:
                 # floor=1e-6: below that the FD oracle's roundoff dominates
                 worst = np.maximum(worst, relative_error(g_b[t], g_fd[t], floor=1e-6))
@@ -212,16 +234,15 @@ def check_partials_vs_finite_diff(points=200, tol=1e-7):
 def check_closed_form_anchors():
     """ln 2 at policy==reference; L ln V for a uniform model; KL(pi,pi)=0."""
     policy, _, sample = tiny_instance(7)
-    frozen = policy.frozen()
-    e1 = abs(dpo_loss(policy, sample, 0.1, frozen).item() - math.log(2.0))
+    frozen, views = policy.frozen(), _views(sample)[0]
+    e1 = abs(_dpo(frozen, views, 0.1, frozen)[0].item() - math.log(2.0))
 
     uniform = init_params(_V, _D, _K, n_blocks=1, seed=0, scale=0.0)
     for t in uniform.tensors():
         t.values[...] = 0.0
-    L = len(sample.chosen)
-    e2 = abs(sft_loss(uniform, sample.context, sample.chosen).item() - L * math.log(_V))
+    e2 = abs(_sft(uniform, views).item() - len(sample.chosen) * math.log(_V))
 
-    e3 = abs(per_token_kl(policy, sample.context, sample.chosen, frozen).item())
+    e3 = abs(_sft(frozen, views, frozen).item() - _sft(frozen, views).item())
     ok = e1 <= 1e-12 and e2 <= 1e-10 and e3 == 0.0
     return ok, f"|dpo-ln2|={e1:.3e} (tol 1e-12), |sft-LlnV|={e2:.3e} (tol 1e-10), kl={e3:.3e} (exact 0)"
 
@@ -239,16 +260,19 @@ def check_softmax_row_gradient(seeds=50, tol=1e-12):
     return worst <= tol, f"max |row grad sum| = {worst:.3e} (tol {tol:g})"
 
 
-def check_implicit_reward_identity(seeds=100, tol=1e-10):
-    """BT probability of the two implicit rewards equals sigma(beta p_dpo)."""
+def check_bradley_terry_identity(seeds=100, tol=1e-10):
+    """BT probability of the two implicit rewards beta log t1 and beta log t2
+    equals sigma(beta p_dpo)."""
     worst, beta = 0.0, 0.3
     for s in range(seeds):
         policy, reference, sample = tiny_instance(s)
-        r_c = implicit_reward(policy, sample.context, sample.chosen, beta, reference).item()
-        r_r = implicit_reward(policy, sample.context, sample.rejected, beta, reference).item()
-        p = dpo_logit(policy, sample, reference).item()
-        sigma = 1.0 / (1.0 + math.exp(-beta * p))
-        worst = np.maximum(worst, abs(bt_probability(r_c, r_r) - sigma))
+        views = _views(sample)[0]
+        stats = _dpo(policy.frozen(), views, beta, reference)[1]
+        r_c, r_r = beta * np.log(stats["t1"][0]), beta * np.log(stats["t2"][0])
+        m = max(r_c, r_r)  # max-shifted against overflow
+        bt = math.exp(r_c - m) / (math.exp(r_c - m) + math.exp(r_r - m))
+        sigma = 1.0 / (1.0 + math.exp(-beta * stats["p_dpo"][0]))
+        worst = np.maximum(worst, abs(bt - sigma))
     return worst <= tol, f"max |BT - sigma(beta p)| = {worst:.3e} (tol {tol:g})"
 
 
@@ -261,7 +285,7 @@ CHECKS = [
     ("partials-vs-finite-diff", check_partials_vs_finite_diff),
     ("closed-form-anchors", check_closed_form_anchors),
     ("softmax-row-gradient", check_softmax_row_gradient),
-    ("implicit-reward-identity", check_implicit_reward_identity),
+    ("implicit-reward-identity", check_bradley_terry_identity),
 ]
 
 

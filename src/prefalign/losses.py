@@ -1,4 +1,4 @@
-"""Alignment losses and reward quantities.
+"""Alignment losses.
 
 Sequence log-probabilities are plain sums over positions; nothing is
 length-normalized, so the reference-free DPO logit is exactly the
@@ -26,8 +26,6 @@ __all__ = [
     "dpo_margin",
     "dpo_margin_loss",
     "dpo_loss",
-    "bt_probability",
-    "implicit_reward",
     "conversation_sft_loss",
     "per_token_kl",
 ]
@@ -104,22 +102,6 @@ def dpo_logit(policy, sample: PreferenceSample, reference=None):
 def dpo_loss(policy, sample: PreferenceSample, beta, reference):
     """-log sigma(beta * p_dpo)."""
     return dpo_margin_loss(dpo_logit(policy, sample, reference), beta)
-
-
-def bt_probability(reward_c, reward_r):
-    """Bradley-Terry win probability, max-shifted against overflow."""
-    rc, rr = float(reward_c), float(reward_r)
-    m = max(rc, rr)
-    ec, er = np.exp(rc - m), np.exp(rr - m)
-    return float(ec / (ec + er))
-
-
-def implicit_reward(policy, context, y, beta, reference):
-    """beta * log(pi_policy(y|x) / pi_ref(y|x)); the additive constant is dropped."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    ref = sequence_logprob(reference.frozen(), context, y).item()
-    return beta * (sequence_logprob(policy, context, y) - ref)
 
 
 def conversation_sft_loss(params, conversation: Conversation):

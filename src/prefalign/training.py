@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import asdict, astuple, dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -86,11 +86,11 @@ _OBJECT_TOKEN_RANGE = range(OBJECT_TOKEN_BASE, OBJECT_TOKEN_BASE + len(OBJECTS))
 
 
 def _check_floors(config, **lows):
-    """ValueError naming `<Class>.<field>` below its floor, a bool, or, under an int floor,
-    not an int."""
+    """ValueError naming `<Class>.<field>` below its floor, a bool, or not an int under an
+    int floor and not a real number under a float one."""
     for name, low in lows.items():
         value, field = getattr(config, name), f"{type(config).__name__}.{name}"
-        if type(value) is bool or isinstance(low, int) and not isinstance(value, Integral):
+        if type(value) is bool or not isinstance(value, Integral if isinstance(low, int) else Real):
             kind = "an integer" if isinstance(low, int) else "a number"
             raise ValueError(f"{field} must be {kind}, got {value!r}")
         if value < low:
@@ -390,8 +390,7 @@ def _score_pairs(params, rows, initial_model=None):
     """Sequence log-probs of each item's first two rows, its chosen and
     rejected captions, and, with `initial_model`, each chosen caption's
     `per_token_kl` from it (else an empty list), as lists: one frozen policy
-    forward per chunk, the initial model on the chosen rows only. A chunk's
-    batch lives until the next is packed."""
+    forward per chunk, the initial model on the chosen rows only."""
     if not rows:
         raise ValueError("need at least one record")
     policy = params.frozen()
@@ -403,6 +402,7 @@ def _score_pairs(params, rows, initial_model=None):
         rejected += lp_r.values.tolist()
         if kl is not None:
             kls += kl.values.tolist()
+        del batch, lp_c, lp_r, kl  # free this chunk before the next is packed
     return chosen, rejected, kls
 
 

@@ -227,10 +227,11 @@ def test_train_non_finite_config_exits_1_without_checkpoint(tmp_path):
     ('{"construct_k": 2.5, "steps": 2, "dim": 8}',
      "TrainConfig.construct_k must be an integer, got 2.5"),
     ('{"lr": true, "dim": 8, "steps": 2}', "TrainConfig.lr must be a number, got True"),
+    ('{"lr": "0.01", "dim": 8, "steps": 2}', "TrainConfig.lr must be a number, got '0.01'"),
     ("[]", "--config must hold a JSON object, got []"),
     ('[["dim", 8], ["steps", 2]]',
      "--config must hold a JSON object, got [['dim', 8], ['steps', 2]]"),
-], ids=["bool-steps", "float-construct-k", "bool-lr", "empty-array", "pair-array"])
+], ids=["bool-steps", "float-construct-k", "bool-lr", "str-lr", "empty-array", "pair-array"])
 def test_train_bad_config_file_exits_1_without_checkpoint(tmp_path, text, message):
     # a bool or a float would pass a bare floor comparison, and a JSON array dict.update
     data = _gen_world(tmp_path, "data.jsonl")

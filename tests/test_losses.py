@@ -10,11 +10,9 @@ from prefalign.autodiff import Tensor, backward
 from prefalign.checks import tiny_instance
 from prefalign.data import Conversation, InputContext, Turn
 from prefalign.losses import (
-    bt_probability,
     conversation_sft_loss,
     dpo_logit,
     dpo_loss,
-    implicit_reward,
     per_token_kl,
     sequence_logprob,
     sft_loss,
@@ -135,32 +133,6 @@ def test_dpo_logit_with_uniform_reference_differs_by_length_constant():
     assert abs(with_ref - (noref + constant)) <= 1e-10
 
 
-def test_bt_probability_values():
-    assert bt_probability(1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
-    assert bt_probability(math.log(3.0), 0.0) == pytest.approx(0.75, abs=1e-12)
-    assert bt_probability(1000.0, 998.0) == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=1e-12)
-
-
-def test_implicit_reward_zero_at_reference_and_linear_in_beta():
-    policy, _, sample = tiny_instance(7)
-    frozen = policy.frozen()
-    r_0 = implicit_reward(policy, sample.context, sample.chosen, 0.3, frozen).item()
-    assert abs(r_0) <= 1e-12
-    _, reference, _ = tiny_instance(8)
-    r_a = implicit_reward(policy, sample.context, sample.chosen, 0.3, reference).item()
-    r_b = implicit_reward(policy, sample.context, sample.chosen, 0.6, reference).item()
-    assert abs(r_b - 2.0 * r_a) <= 1e-10
-
-
-def test_bt_of_implicit_rewards_equals_sigma_beta_logit():
-    policy, reference, sample = tiny_instance(9)
-    r_c = implicit_reward(policy, sample.context, sample.chosen, 0.3, reference).item()
-    r_r = implicit_reward(policy, sample.context, sample.rejected, 0.3, reference).item()
-    p = dpo_logit(policy, sample, reference).item()
-    sigma = 1.0 / (1.0 + math.exp(-0.3 * p))
-    assert abs(bt_probability(r_c, r_r) - sigma) <= 1e-10
-
-
 def _conversation(seed, n_turns=2):
     rng = np.random.default_rng(seed)
     turns = [Turn(list(rng.integers(0, V, size=2)), list(rng.integers(0, V, size=3)))
@@ -245,5 +217,3 @@ def test_beta_must_be_positive(beta):
     policy, reference, sample = tiny_instance(17)
     with pytest.raises(ValueError, match="beta must be positive"):
         dpo_loss(policy, sample, beta, reference)
-    with pytest.raises(ValueError, match="beta must be positive"):
-        implicit_reward(policy, sample.context, sample.chosen, beta, reference)

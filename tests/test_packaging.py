@@ -1,9 +1,10 @@
 """Packaging: every third-party module the code imports is declared, the
 record-to-model-input decision and the scorer each stay in one module, the
 caption diff is read only where records and corrective turns are built,
-the names the benchmark pins exist and its calls of them bind, every import
-is read, every loss takes its reference model last, README's examples match
-the code, and the pytest settings report failures normally."""
+the identity checks run the training loss, the names the benchmark pins
+exist and its calls of them bind, every import is read, every loss takes its
+reference model last, README's examples match the code, and the pytest
+settings report failures normally."""
 
 import ast
 import importlib.util
@@ -95,6 +96,18 @@ def test_one_module_sets_the_allocator():
         modules = {p.name for p in ROOT.joinpath("src").rglob("*.py")
                    if re.search(rf"\b{word}\b", p.read_text())}
         assert modules == {"autodiff.py"}, f"{word} appears in {sorted(modules)}"
+
+
+# The single-sample loss forms, which no training step runs, and two reward
+# helpers that `prefalign` no longer has.
+_SINGLE_SAMPLE_LOSSES = {"sft_loss", "dpo_logit", "dpo_loss", "per_token_kl", "sequence_logprob",
+                         "conversation_sft_loss", "implicit_reward", "bt_probability"}
+
+
+def test_identity_checks_run_the_training_loss():
+    used = _names_used("checks.py")
+    assert "batch_loss" in used, "checks.py does not read training.batch_loss"
+    assert not used & _SINGLE_SAMPLE_LOSSES, f"checks.py uses {sorted(used & _SINGLE_SAMPLE_LOSSES)}"
 
 
 def test_training_scores_only_through_packed_logprobs():

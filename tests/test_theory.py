@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefalign.autodiff import finite_diff
-from prefalign import checks
+from prefalign import checks, training
 from prefalign.checks import stacked_finite_diff, stacked_losses, tiny_instance
 from prefalign.data import StepRecord
 from prefalign.losses import dpo_loss, per_token_kl, sft_loss
+from prefalign.model import ModelParams
 from prefalign.theory import (
     RatioPoint,
     bias_trajectory_report,
@@ -202,3 +203,21 @@ def test_gradient_checks_fail_on_nan_gradients(monkeypatch, check):
     monkeypatch.setattr(checks, "backward", nan_backward)
     ok, detail = check(seeds=2)
     assert not ok and "nan" in detail
+
+
+def test_closed_form_anchors_read_the_training_margin(monkeypatch):
+    # a swap of `ref_scores`' columns inside `batch_loss` moves gt_dpo off ln 2
+    def swapped(lp_c, lp_r, ref_c, ref_r):
+        return (lp_c - ref_r) - (lp_r - ref_c)
+
+    assert checks.check_closed_form_anchors()[0]
+    monkeypatch.setattr(training, "dpo_margin", swapped)
+    ok, detail = checks.check_closed_form_anchors()
+    assert not ok and not detail.startswith("|dpo-ln2|=0.000e+00")
+
+
+def test_frozen_reference_check_catches_a_trainable_reference(monkeypatch):
+    # a reference whose `frozen()` is itself would take gradient inside sft_kl's KL term
+    assert checks.check_frozen_reference_gradients(seeds=2)[0]
+    monkeypatch.setattr(ModelParams, "frozen", lambda self: self)
+    assert not checks.check_frozen_reference_gradients(seeds=2)[0]

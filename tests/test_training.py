@@ -103,6 +103,10 @@ def test_train_config_validation():
     for name, value in (("lr", True), ("beta", True), ("kl_weight", False), ("yes_floor", True)):
         with pytest.raises(ValueError, match=rf"TrainConfig.{name} must be a number, got {value}"):
             TrainConfig(**{name: value})
+    # a non-number would fail the floor comparison with a TypeError naming no field
+    for name, value in (("lr", "0.1"), ("yes_floor", None), ("kl_weight", [1])):
+        with pytest.raises(ValueError, match=rf"TrainConfig.{name} must be a number, got "):
+            TrainConfig(**{name: value})
     config = TrainConfig(steps=np.int64(3), dim=np.int32(8), lr=1, kl_weight=0)
     assert (config.steps, config.dim) == (3, 8)
     assert set(METHODS) == {"cont_sft", "gt_dpo", "nsft", "sft_kl", "nsft_kl"}
