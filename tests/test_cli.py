@@ -109,6 +109,21 @@ def test_gen_world_reproducible(tmp_path):
     assert len(a.read_text().splitlines()) == 8
 
 
+# sha256 of `gen-world --n 500` by seed, recorded before `corrupt` and
+# `diff_captions` were rewritten: each record stores its corruptions in the
+# injector's draw order with their target indexes, which no other golden reads
+GEN_WORLD_SHA256 = {
+    0: "e69669917468dc159a905fc2070a317427ece72737679dafa7cc66dcb2563560",
+    3: "d23b24611d56b5fa2669b0de5db4305036db77b5188c52aed9a1c38a5c7f1e55",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GEN_WORLD_SHA256))
+def test_gen_world_output_matches_recorded_bytes(tmp_path, seed):
+    path = _gen_world(tmp_path, "data.jsonl", n=500, seed=seed)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GEN_WORLD_SHA256[seed]
+
+
 def test_construct_smoke_and_reproducible(tmp_path):
     data = _gen_world(tmp_path, "data.jsonl")
     outs = []
