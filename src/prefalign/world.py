@@ -9,6 +9,7 @@ captions. All generation is a pure function of integer seeds.
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -215,42 +216,29 @@ def parse_caption(tokens):
 def diff_captions(chosen_clauses, rejected_clauses):
     """Recover the corruption list by diffing two parsed captions.
 
-    Matching is by object id; a (missing, extra) pair sharing color and
-    count is a swap; leftovers are omissions/fabrications. The injector
-    guarantees combinations stay unambiguous under this rule.
+    Clauses are keyed by object; a later clause of an object replaces the
+    earlier one, in its place. A shared object can make a color and a count
+    error. Each chosen clause whose object is gone takes, as an object swap,
+    the first unpaired rejected clause of a new object with its color and
+    count, or else is an omission; the unpaired ones are fabrications.
     """
-    c_by_obj = {cl.obj: (i, cl) for i, cl in enumerate(chosen_clauses)}
-    r_by_obj = {cl.obj: (j, cl) for j, cl in enumerate(rejected_clauses)}
+    chosen = {cl.obj: (i, cl) for i, cl in enumerate(chosen_clauses)}
+    rejected = {cl.obj: cl for cl in rejected_clauses}
+    extra = [cl for obj, cl in rejected.items() if obj not in chosen]
     out = []
-    missing, extra = [], []
-    for obj, (i, cl) in c_by_obj.items():
-        if obj in r_by_obj:
-            rcl = r_by_obj[obj][1]
-            if rcl.color != cl.color:
-                out.append(Corruption(CAT_COLOR, i, _triple(cl), (cl.obj, rcl.color, cl.count)))
-            if rcl.count != cl.count:
-                out.append(Corruption(CAT_COUNT, i, _triple(cl), (cl.obj, cl.color, rcl.count)))
+    for obj, (i, cl) in chosen.items():
+        if obj in rejected and rejected[obj].color != cl.color:
+            out.append(Corruption(CAT_COLOR, i, _triple(cl), (cl.obj, rejected[obj].color, cl.count)))
+        if obj in rejected and rejected[obj].count != cl.count:
+            out.append(Corruption(CAT_COUNT, i, _triple(cl), (cl.obj, cl.color, rejected[obj].count)))
+    for i, cl in [(i, cl) for obj, (i, cl) in chosen.items() if obj not in rejected]:
+        swap = next((e for e in extra if (e.color, e.count) == (cl.color, cl.count)), None)
+        if swap is None:
+            out.append(Corruption(CAT_OMISSION, i, _triple(cl), None))
         else:
-            missing.append((i, cl))
-    for obj, (j, cl) in r_by_obj.items():
-        if obj not in c_by_obj:
-            extra.append((j, cl))
-    used = set()
-    for i, mcl in missing:
-        swap = None
-        for k, (j, ecl) in enumerate(extra):
-            if k not in used and ecl.color == mcl.color and ecl.count == mcl.count:
-                swap = (k, ecl)
-                break
-        if swap is not None:
-            used.add(swap[0])
-            out.append(Corruption(CAT_OBJECT_SWAP, i, _triple(mcl), _triple(swap[1])))
-        else:
-            out.append(Corruption(CAT_OMISSION, i, _triple(mcl), None))
-    for k, (j, ecl) in enumerate(extra):
-        if k not in used:
-            out.append(Corruption(CAT_FABRICATION, -1, None, _triple(ecl)))
-    return out
+            extra.remove(swap)
+            out.append(Corruption(CAT_OBJECT_SWAP, i, _triple(cl), _triple(swap)))
+    return out + [Corruption(CAT_FABRICATION, -1, None, _triple(cl)) for cl in extra]
 
 
 def _triple(cl):
@@ -258,7 +246,7 @@ def _triple(cl):
 
 
 def corrupt(caption, corruption_seed):
-    """Inject 1-2 known corruptions into a caption.
+    """Inject 1-2 known corruptions into a caption that names each object once.
 
     Returns (rejected_tokens, corruption list). The rejected caption is
     always parseable and differs from the chosen one; a single-clause
@@ -267,57 +255,44 @@ def corrupt(caption, corruption_seed):
     """
     rng = np.random.default_rng(int(corruption_seed))
     clauses = parse_caption(caption)
-    n_corr = int(rng.integers(1, 3))
-    cats = _draw_categories(rng, clauses, n_corr)
-
-    new_clauses = list(clauses)
+    cats = _draw_categories(rng, clauses, int(rng.integers(1, 3)))
+    edited = list(clauses)  # indexed like `clauses`, None for an omission; fabrications append
+    free = list(range(len(clauses)))
     recorded = []
-    used_targets = set()
-    omitted = []
-    swap_originals = []
     for cat in cats:
+        # union with the original clauses: re-adding a swapped-out
+        # object would make the caption diff ambiguous
+        present = {cl.obj for cl in clauses + edited if cl is not None}
+        absent = [o for o in range(len(OBJECTS)) if o not in present]
         if cat == CAT_FABRICATION:
-            # union with the original clauses: re-adding a swapped-out
-            # object would make the caption diff ambiguous
-            present = {cl.obj for cl in clauses} | {cl.obj for cl in new_clauses}
-            candidates = [o for o in range(len(OBJECTS)) if o not in present]
-            obj = int(rng.choice(candidates))
-            color = int(rng.integers(0, len(COLORS)))
-            count = int(rng.integers(1, len(COUNT_WORDS) + 1))
-            # avoid (color,count) collision with a co-injected swap original,
-            # which would confuse the positional-free diff pairing
-            while any((color, count) == (cl.color, cl.count) for cl in swap_originals):
+            obj = int(rng.choice(absent))
+            # redraw the color and count of a co-injected swap original: the diff
+            # pairs the swap first anyway, but every seeded dataset holds these draws
+            swapped = [c.original[1:] for c in recorded if c.category == CAT_OBJECT_SWAP]
+            while True:
                 color = int(rng.integers(0, len(COLORS)))
                 count = int(rng.integers(1, len(COUNT_WORDS) + 1))
-            fab = SceneObject(obj, color, count)
-            new_clauses.append(fab)
-            recorded.append(Corruption(CAT_FABRICATION, -1, None, _triple(fab)))
+                if (color, count) not in swapped:
+                    break
+            edited.append(SceneObject(obj, color, count))
+            recorded.append(Corruption(CAT_FABRICATION, -1, None, (obj, color, count)))
             continue
-        idx = int(rng.choice([i for i in range(len(clauses)) if i not in used_targets]))
-        used_targets.add(idx)
+        idx = int(rng.choice(free))
+        free.remove(idx)
         cl = clauses[idx]
         if cat == CAT_OMISSION:
-            omitted.append(cl)
-            recorded.append(Corruption(CAT_OMISSION, idx, _triple(cl), None))
+            repl = None
         elif cat == CAT_OBJECT_SWAP:
-            present = {c.obj for c in clauses} | {c.obj for c in new_clauses}
-            obj = int(rng.choice([o for o in range(len(OBJECTS)) if o not in present]))
-            repl = SceneObject(obj, cl.color, cl.count)
-            new_clauses[new_clauses.index(cl)] = repl
-            swap_originals.append(cl)
-            recorded.append(Corruption(CAT_OBJECT_SWAP, idx, _triple(cl), _triple(repl)))
+            repl = SceneObject(int(rng.choice(absent)), cl.color, cl.count)
         elif cat == CAT_COLOR:
             color = int(rng.choice([c for c in range(len(COLORS)) if c != cl.color]))
             repl = SceneObject(cl.obj, color, cl.count)
-            new_clauses[new_clauses.index(cl)] = repl
-            recorded.append(Corruption(CAT_COLOR, idx, _triple(cl), _triple(repl)))
-        elif cat == CAT_COUNT:
+        else:
             delta = 1 if cl.count == 1 else (-1 if cl.count == len(COUNT_WORDS) else int(rng.choice([-1, 1])))
             repl = SceneObject(cl.obj, cl.color, cl.count + delta)
-            new_clauses[new_clauses.index(cl)] = repl
-            recorded.append(Corruption(CAT_COUNT, idx, _triple(cl), _triple(repl)))
-    new_clauses = [cl for cl in new_clauses if cl not in omitted]
-    return _render_clauses(new_clauses), recorded
+        edited[idx] = repl
+        recorded.append(Corruption(cat, idx, _triple(cl), None if repl is None else _triple(repl)))
+    return _render_clauses([cl for cl in edited if cl is not None]), recorded
 
 
 # draw weights compensate for applicability constraints (omission needs a
@@ -448,12 +423,16 @@ def make_preference_dataset(n, seed, object_pool=None):
     from the pool are kept; candidate seeds that fall outside it are
     skipped, so pooled datasets stay deterministic in `seed`.
     """
+    ids = [] if object_pool is None else list(object_pool)
+    for name, value in [("n", n), ("seed", seed)] + [("object_pool id", o) for o in ids]:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):  # numpy integers pass
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if object_pool is not None:
-        object_pool = {int(o) for o in object_pool}
+        object_pool = set(map(int, ids))
         if not object_pool or any(not 0 <= o < len(OBJECTS) for o in object_pool):
             raise ValueError("object_pool must be a nonempty set of valid object ids")
     records = []

@@ -74,6 +74,14 @@ def test_identify_errors_perfect_on_double_corruptions():
         errors = oracle.identify(rec.rejected, rec.chosen)
         assert sorted(map(_key, errors)) == sorted(map(_key, rec.corruptions))
     assert seen_double > 20
+    # a tie a self-response decode can make: both extra clauses have the missing
+    # cat's color and count; the first in rejected order is the swap, the rest fabrications
+    scene = Scene([SceneObject(0, 0, 1)])  # one red cat
+    decode = world.words_to_tokens("one red dog . one red fish . <eos>".split())
+    rec = world.PreferenceRecord(0, scene, render_caption(scene), decode)
+    assert oracle.identify(decode, rec.chosen) == rec.corruptions == [
+        world.Corruption(world.CAT_OBJECT_SWAP, 0, (0, 0, 1), (1, 0, 1)),
+        world.Corruption(world.CAT_FABRICATION, -1, None, (8, 0, 1))]
 
 
 def _answer_words(turn):

@@ -256,7 +256,8 @@ def test_dataset_object_pool_restriction():
     assert len(records) == 50
     for rec in records:
         assert rec.scene.object_ids() <= pool
-    again = make_preference_dataset(50, 0, object_pool=pool)
+    # numpy integers, which an ExperimentSpec may hold, make the same records
+    again = make_preference_dataset(np.int64(50), np.int64(0), object_pool=set(np.arange(12)))
     assert [r.to_dict() for r in again] == [r.to_dict() for r in records]
 
 
@@ -270,6 +271,21 @@ def test_dataset_object_pool_validation():
 def test_dataset_rejects_bad_n():
     with pytest.raises(ValueError):
         make_preference_dataset(0, 0)
+
+
+@pytest.mark.parametrize("args, match", [
+    ((2.5, 0), "n must be an integer, got 2.5"),
+    ((True, 0), "n must be an integer, got True"),
+    ((2, 0.5), "seed must be an integer, got 0.5"),
+    ((2, True), "seed must be an integer, got True"),
+    ((2, 0, {1.9, 2}), "object_pool id must be an integer, got 1.9"),
+    ((2, 0, {True, 2}), "object_pool id must be an integer, got True"),
+], ids=["n_a_float", "n_a_bool", "seed_a_float", "seed_a_bool", "pool_id_a_float",
+        "pool_id_a_bool"])
+def test_dataset_rejects_non_integer_arguments(args, match):
+    # coercion would make 3 records of n=2.5, seed 0's of seed 0.5, and read pool id 1.9 as 1
+    with pytest.raises(ValueError, match=match):
+        make_preference_dataset(*args)
 
 
 def test_single_object_scene_never_omitted():
