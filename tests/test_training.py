@@ -3,7 +3,9 @@ comparison scaffolding, and the experiment pipeline at toy sizes."""
 
 import ctypes
 import dataclasses
+import hashlib
 import io
+import json
 import math
 import re
 import resource
@@ -582,6 +584,26 @@ def test_evaluate_model_matches_golden_bit_for_bit():
     x = [encode_context(params, c.image_latent, c.question) for c in contexts]
     assert captions == [greedy_decode(params, xi, 16) for xi in x]
     assert len({len(c) for c in captions}) > 2
+
+
+# sha256 of evaluate_model's report and of the decoded captions on a
+# pretrained model, recorded before caption rows were built without
+# `to_sample()` and decoding without `np.add.at`: the read path's outputs
+# bit for bit. Every caption there is 3-5 tokens long, <eos> included.
+READ_PATH_SHA256 = {
+    "evaluate": "2ffbcb2157871482db14842a3b0879b7bbdd416801b7fc7d796f9f5073ebbd79",
+    "decode": "757aac555ae3ab7a67b77e009a406b72bb39c2e3a84ad5f94c98410b881c3d8c",
+}
+
+
+def test_read_path_outputs_match_recorded_sha256():
+    base = make_base_model(world.make_preference_dataset(200, 999), dim=16, steps=1000)
+    initial = init_params(world.VOCAB_SIZE, 16, world.latent_dim(), seed=3)
+    evals = world.make_preference_dataset(100, 7)
+    report = json.dumps(evaluate_model(base, evals, initial_model=initial), sort_keys=True)
+    captions = json.dumps(_decode_records(base, _caption_rows(evals), 16))
+    assert {"evaluate": hashlib.sha256(report.encode()).hexdigest(),
+            "decode": hashlib.sha256(captions.encode()).hexdigest()} == READ_PATH_SHA256
 
 
 def test_kl_drift_is_mean_per_record_per_token_kl():
