@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import compress
+from numbers import Integral
 
 import numpy as np
 
@@ -265,39 +266,46 @@ def greedy_decode_batch(params, rows, max_len):
     latents = np.array([row[0] for row in rows], dtype=np.float64)  # ValueError if ragged
     if latents.shape != (len(rows), params.latent_dim):
         raise ValueError(f"need one latent of size {params.latent_dim} per row")
-    ids = [t for row in rows for t in row[1]]
-    lengths = [len(row[1]) for row in rows]
-    if not all(lengths) or min(ids) < 0 or max(ids) >= params.vocab_size:
+    ids = np.array([t for row in rows for t in row[1]])  # a non-integer id fails to index
+    lengths = np.array([len(row[1]) for row in rows])
+    if not lengths.all() or ids.min() < 0 or ids.max() >= params.vocab_size:
         raise ValueError("questions must be non-empty with ids in [0, V)")
-    # add.at sums each context's question embeddings onto its image slot left
-    # to right, the float order of greedy_decode's cumsum over context rows
+    # add question position j's embedding onto the image slot of every context
+    # that long, j = 0, 1, ...: left to right, greedy_decode's cumsum order
     sums = latents @ params.img_proj.values
-    np.add.at(sums, np.repeat(np.arange(len(rows)), lengths), params.embed.values[ids])
-    return _decode(params, sums, [1 + n for n in lengths], max_len)
+    starts = np.cumsum(lengths) - lengths
+    for j in range(lengths.max()):
+        within = lengths > j
+        sums[within] += params.embed.values[ids[starts[within] + j]]
+    return _decode(params, sums, lengths + 1, max_len)
 
 
 def _decode(params, sums, counts, max_len):
     """Greedy decoding from running prefix sums: each step feeds one new
     mean per live sequence through the head, then adds the chosen token's
-    embedding to that sequence's sum, so a step costs O(1) in the prefix."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+    embedding to that sequence's sum, so a step costs O(1) in the prefix.
+    ValueError naming `max_len` unless it is an integer >= 1 (not a bool)."""
+    if isinstance(max_len, bool) or not isinstance(max_len, Integral) or max_len < 1:
+        raise ValueError(f"max_len must be an integer >= 1, got {max_len!r}")
     frozen = params.frozen()
     sums = np.array(sums, dtype=np.float64)
     counts = np.array(counts, dtype=np.float64)
-    out = [[] for _ in counts]
     live = np.arange(len(counts))
+    steps = []  # each step's (live rows, their tokens)
     for _ in range(max_len):
         lp = _head(frozen, Tensor(sums[live] / counts[live, None])).values
         tokens = np.argmax(lp, axis=1)
-        for b, tok in zip(live, tokens):
-            out[b].append(int(tok))
+        steps.append((live, tokens))
         live, tokens = live[tokens != params.eos_id], tokens[tokens != params.eos_id]
         if not live.size:
             break
         sums[live] += params.embed.values[tokens]
         counts[live] += 1.0
-    return out
+    # a stable sort by row keeps each row's tokens in step order
+    rows, tokens = (np.concatenate(a) for a in zip(*steps))
+    flat = tokens[np.argsort(rows, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=len(counts))).tolist()
+    return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 # ---------------------------------------------------------------------------

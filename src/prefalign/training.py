@@ -78,8 +78,9 @@ METHODS = {
 # RSS by 3.3 and 4.7 MB (2.1 MB at 8) and cut scoring time by only 13% and 19%.
 _CHUNK = 8
 # Contexts per decode call; a step holds one row per live context. Decoding
-# 500 records to 16 tokens took 121, 53, 32, 25, 32 ms and raised peak RSS by
-# 0.1, 0.4, 0.5, 1.2, 3.8 MB at 8, 32, 64, 128, 500 (2-core x86, 1 BLAS thread).
+# 500 records to 16 tokens took 131, 50, 41, 34, 71 ms and raised peak RSS by
+# 0.1, 0.3, 0.4, 1.0, 3.1 MB at 8, 32, 64, 128, 500 (2-core x86, 1 BLAS thread,
+# medians of 5 processes whose times spread by up to 40%).
 _DECODE_CHUNK = 64
 
 _OBJECT_TOKEN_RANGE = range(OBJECT_TOKEN_BASE, OBJECT_TOKEN_BASE + len(OBJECTS))
@@ -137,10 +138,9 @@ def cosine_lr(step, total, base_lr):
 
 
 def _caption_rows(records):
-    """Each record's (chosen, rejected) caption rows: the one place a record
-    becomes model input, once per record and call."""
-    return [tuple(s.context.caption_conversation(y).flatten() for y in (s.chosen, s.rejected))
-            for s in map(PreferenceRecord.to_sample, records)]
+    """Each record's (chosen, rejected) `PreferenceRecord.caption_rows()`,
+    built once per record and call."""
+    return [rec.caption_rows() for rec in records]
 
 
 def build_training_views(records, config: TrainConfig, reference=None):

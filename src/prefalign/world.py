@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import InputContext, PreferenceSample, write_jsonl
+from .data import InputContext, PreferenceSample, flatten_pairs, write_jsonl
 
 __all__ = [
     "OBJECTS",
@@ -251,10 +251,14 @@ def corrupt(caption, corruption_seed):
     Returns (rejected_tokens, corruption list). The rejected caption is
     always parseable and differs from the chosen one; a single-clause
     caption never receives an omission. Omission is never combined with
-    fabrication or swap so the caption diff stays exact.
+    fabrication or swap so the caption diff stays exact. ValueError, naming
+    the object, on a caption that names one twice, which no scene renders.
     """
-    rng = np.random.default_rng(int(corruption_seed))
     clauses = parse_caption(caption)
+    objs = [cl.obj for cl in clauses]
+    if twice := [OBJECTS[o] for o in objs if objs.count(o) > 1]:
+        raise ValueError(f"caption names {twice[0]!r} twice")
+    rng = np.random.default_rng(int(corruption_seed))
     cats = _draw_categories(rng, clauses, int(rng.integers(1, 3)))
     edited = list(clauses)  # indexed like `clauses`, None for an omission; fabrications append
     free = list(range(len(clauses)))
@@ -374,6 +378,14 @@ class PreferenceRecord:
         elif len(self.corruptions) != len(errors) or any(
                 self.corruptions.count(e) != errors.count(e) for e in errors):
             raise ValueError("corruptions are not the caption diff of rejected against chosen")
+
+    def caption_rows(self):
+        """The (chosen, rejected) caption rows, the model's input: each is
+        `to_sample().context.caption_conversation(y).flatten()`, built directly.
+        They share one latent array; their token lists are fresh copies."""
+        latent = featurize(self.scene)
+        return (flatten_pairs(latent, [(CAPTION_QUESTION, self.chosen)]),
+                flatten_pairs(latent, [(CAPTION_QUESTION, self.rejected)]))
 
     def to_sample(self):
         return PreferenceSample(

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefalign.autodiff as ad
+import prefalign.model
 from prefalign.autodiff import Tensor, backward, finite_diff, relative_error
 from prefalign.model import (
     batch_logprob_matrix,
@@ -190,11 +191,12 @@ def test_greedy_decode_stops_at_eos():
 
 
 def _ragged_rows():
-    """Four rows (latent, question, y, mask) of ragged lengths, every answer
-    token a position."""
-    latents = np.random.default_rng(3).normal(size=(4, K))
-    questions = [[1], [2, 3], [4, 5, 6], [7]]
-    ys = [[9], [3, 1, 4, 1], [5, 9], [2, 6, 5]]
+    """Seven rows (latent, question, y, mask) of ragged lengths, questions of
+    1 to 7 tokens out of order, every answer token a position."""
+    latents = np.random.default_rng(3).normal(size=(7, K))
+    questions = [[1], [2, 3], [4, 5, 6], [7], [8, 9, 10, 11, 12, 13, 14], [0, 15, 3, 3],
+                 [5, 4, 3, 2, 1, 0]]
+    ys = [[9], [3, 1, 4, 1], [5, 9], [2, 6, 5], [7], [1, 2], [8, 8, 8]]
     return [(latent, q, y, [True] * len(y)) for latent, q, y in zip(latents, questions, ys)]
 
 
@@ -322,6 +324,42 @@ def test_greedy_decode_batch_matches_single_decodes():
     assert len({len(d) for d in decoded}) > 1
     for x, out in zip(contexts, decoded):  # each token is the full forward's argmax
         assert list(np.argmax(token_logprob_matrix(params, x, out).values, axis=1)) == out
+
+
+@pytest.mark.parametrize("max_len", [1, np.int64(6)])  # numpy integers pass
+def test_greedy_decode_batch_matches_single_decodes_at_max_len(max_len):
+    params = _params(seed=17, scale=0.5)
+    params.out.values[:, params.eos_id] += 1.0
+    rows = _ragged_rows()
+    decoded = greedy_decode_batch(params, rows, max_len)
+    assert decoded == [greedy_decode(params, encode_context(params, latent, q), max_len)
+                       for latent, q, _, _ in rows]
+    assert max(map(len, decoded)) == max_len
+
+
+def test_greedy_decode_batch_sums_each_context_in_cumsum_order(monkeypatch):
+    # greedy_decode's float order: the image slot, then each question embedding
+    # added left to right. Argmax tokens seldom show a one-ulp change, so the
+    # sums handed to the decoder are compared bit for bit.
+    params = _params(seed=5, scale=0.5)
+    rows = [(latent, q) for latent, q, _, _ in _ragged_rows()]
+    sums = []
+    monkeypatch.setattr(prefalign.model, "_decode", lambda *args: sums.append(args[1]))
+    greedy_decode_batch(params, rows, 1)
+    slots = np.array([latent for latent, _ in rows]) @ params.img_proj.values
+    want = [np.cumsum(np.vstack([slot, params.embed.values[q]]), axis=0)[-1]
+            for slot, (_, q) in zip(slots, rows)]
+    assert np.array_equal(sums[0], want)
+
+
+@pytest.mark.parametrize("max_len", [True, 2.5, 3.0, "3", None])
+def test_decoding_rejects_a_max_len_that_is_not_an_integer_of_at_least_1(max_len):
+    params = _params()
+    row = (np.zeros(K), [1])
+    with pytest.raises(ValueError, match="max_len"):
+        greedy_decode_batch(params, [row], max_len)
+    with pytest.raises(ValueError, match="max_len"):
+        greedy_decode(params, encode_context(params, *row), max_len)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

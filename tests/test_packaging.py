@@ -52,10 +52,9 @@ def test_every_third_party_import_is_declared():
     assert not undeclared, f"imported but not declared in pyproject.toml: {sorted(undeclared)}"
 
 
-# A record's model input is `PreferenceRecord.to_sample()`, its caption
-# conversation `InputContext.caption_conversation` (flattened, a caption row)
-# and its nSFT conversation `constructor.nsft_conversation`; these modules
-# use them.
+# A record's model input is `PreferenceRecord.caption_rows()`, its caption
+# rows, and its nSFT conversation `constructor.nsft_conversation`; these
+# modules use them.
 _INPUT_BUILDING_NAMES = {"featurize", "CAPTION_QUESTION", "Turn", "RuleBasedOracle",
                          "construct_conversation", "balance_yes_no"}
 # Every sequence log-prob and KL of a packed forward is `losses.packed_logprobs`.

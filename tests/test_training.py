@@ -280,13 +280,14 @@ def test_training_without_trajectory_packs_once_per_step(monkeypatch, method):
 
 def test_make_base_model_builds_no_turn_per_step(monkeypatch):
     # a cost guard: QA items are rows drawn straight from the token tables,
-    # so the only turns are the records' caption rows, built once per call
+    # and `PreferenceRecord.caption_rows()` flattens the records' captions
+    # without a `Turn`, so pretraining builds none at all
     turns = []
     for module in (data, constructor):
         real = module.Turn
         monkeypatch.setattr(module, "Turn", lambda *a, real=real: turns.append(1) or real(*a))
     make_base_model(RECORDS, dim=16, steps=20)
-    assert len(turns) == 2 * len(RECORDS)
+    assert len(turns) == 0
 
 
 def _libc_has_mallopt():
@@ -536,6 +537,40 @@ def test_self_response_records_keeps_a_decode_only_when_it_is_a_preference_recor
     assert out[0] is recs[0] and out[1] is recs[1]
     assert out[2].rejected == wrong
     assert out[2].corruptions == constructor.RuleBasedOracle().identify(wrong, recs[2].chosen)
+
+
+def test_caption_rows_match_the_caption_conversation_route(tmp_path, monkeypatch):
+    path = tmp_path / "world.jsonl"
+    world.write_dataset_jsonl(RECORDS, path)
+    # a toy base model's decodes seldom parse, so the self-responses are other corruptions
+    monkeypatch.setattr(training, "_decode_records", lambda params, rows, max_decode_len:
+                        [world.corrupt(rec.chosen, rec.seed + 1)[0] for rec in RECORDS])
+    self_response = self_response_records(None, RECORDS)
+    assert sum(a.rejected != b.rejected for a, b in zip(self_response, RECORDS)) > 6
+    pooled = world.make_preference_dataset(12, 3, object_pool={0, 1, 2, 3})
+    for rec in RECORDS + pooled + world.read_dataset_jsonl(path) + self_response:
+        context = rec.to_sample().context
+        rows = rec.caption_rows()
+        assert len(rows) == 2 and rows[0][0] is rows[1][0]  # one latent array
+        for row, y in zip(rows, (rec.chosen, rec.rejected)):
+            latent, question, answer, mask = context.caption_conversation(y).flatten()
+            assert np.array_equal(row[0], latent)
+            assert (row[1], row[2], row[3]) == (question, answer, mask)
+        chosen, rejected = list(rec.chosen), list(rec.rejected)
+        for row in rows:  # the token lists are copies
+            row[1].append(0)
+            row[2].append(0)
+        assert (rec.chosen, rec.rejected) == (chosen, rejected)
+        assert rec.caption_rows()[0][1] == world.CAPTION_QUESTION
+
+
+@pytest.mark.parametrize("max_decode_len", [True, 2.5])
+def test_read_path_rejects_a_max_decode_len_that_is_not_an_integer_of_at_least_1(max_decode_len):
+    params, initial = _eval_models()
+    with pytest.raises(ValueError, match="max_len"):
+        evaluate_model(params, RECORDS, initial_model=initial, max_decode_len=max_decode_len)
+    with pytest.raises(ValueError, match="max_len"):
+        self_response_records(params, RECORDS, max_decode_len=max_decode_len)
 
 
 def test_mean_sequence_logprobs_matches_manual():

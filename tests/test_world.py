@@ -118,6 +118,12 @@ def test_corrupt_fabrication_adds_absent_object():
     assert hits > 0
 
 
+def test_corrupt_rejects_a_caption_that_names_an_object_twice():
+    caption = world.words_to_tokens("one red cat . one red cat . two blue dog . <eos>".split())
+    with pytest.raises(ValueError, match="names 'cat' twice"):
+        corrupt(caption, 0)
+
+
 def test_corruptions_recoverable_by_caption_diff():
     for seed in range(1000):
         s = generate_scene(seed)
